@@ -19,6 +19,12 @@ The tangent projection always uses the Euclidean metric.  On the
 generalized Stiefel manifold that requires solving the small symmetric
 equation M S + S M = 2 sym(x'Bu) with M = x'B^2x, handled by
 :func:`decmanopt.numerics.lyapunov_solve`.
+
+Both maps take one d-by-r matrix or an (n, d, r) stack with the agent
+index first; a stack is handled by one batched call of the numerics
+kernels, whose checks apply to every block.  A failure on a stack raises
+an error whose ``block`` attribute is the index of the first offending
+agent.
 """
 
 from dataclasses import dataclass, field
@@ -26,19 +32,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, SingularityError
-from .numerics import RANK_RTOL, lyapunov_solve, spd_inverse_sqrt, sym_eig, thin_svd
+from .numerics import (
+    RANK_RTOL,
+    lyapunov_solve,
+    reject_blocks,
+    spd_inverse_sqrt,
+    sym,
+    sym_eig,
+    thin_svd,
+)
 
 STIEFEL = "stiefel"
 GENERALIZED_STIEFEL = "generalized_stiefel"
 
-# Constraint residual allowed for a point to count as feasible, and the
-# analogous residual for tangency.  Downstream modules inherit these.
+# Constraint residual allowed for a point to count as feasible.
 FEAS_TOL = 1e-8
-TANGENT_TOL = 1e-8
-
-
-def _sym(a):
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -77,7 +85,7 @@ class ManifoldSpec:
         elif self.b is not None:
             raise InvalidInputError("b is only meaningful for the generalized Stiefel manifold")
 
-    # -- feasibility / tangency -------------------------------------------
+    # -- feasibility -------------------------------------------------------
 
     def gram(self, x):
         """x'x (Stiefel) or x'Bx (generalized Stiefel)."""
@@ -87,75 +95,42 @@ class ManifoldSpec:
 
     def feasibility_residual(self, x):
         """Frobenius distance of the constraint Gram matrix from the identity."""
-        g = self.gram(x) - np.eye(self.r)
-        return np.linalg.norm(g, axis=(-2, -1)) if g.ndim > 2 else np.linalg.norm(g)
+        return np.linalg.norm(self.gram(x) - np.eye(self.r), axis=(-2, -1))
 
     def is_feasible(self, x, tol=FEAS_TOL):
         return bool(np.all(self.feasibility_residual(x) <= tol))
 
-    def tangency_residual(self, x, u):
-        """Norm of sym(x'u) resp. sym(x'Bu); zero exactly on the tangent space."""
-        if self.kind == STIEFEL:
-            s = _sym(np.swapaxes(x, -1, -2) @ u)
-        else:
-            s = _sym(np.swapaxes(x, -1, -2) @ (self.b @ u))
-        return np.linalg.norm(s, axis=(-2, -1)) if s.ndim > 2 else np.linalg.norm(s)
-
     # -- projections -------------------------------------------------------
 
     def project(self, y):
-        """Map a full-column-rank ambient matrix onto the manifold.
+        """Map a full-column-rank ambient matrix, or each block of an
+        (n, d, r) stack, onto the manifold.
 
-        Raises :class:`SingularityError` when y is (numerically) rank
-        deficient; in that case y lies outside the tube where the
-        projection is single valued.
+        Raises :class:`SingularityError` when a target is (numerically) rank
+        deficient; it then lies outside the tube where the projection is
+        single valued.
         """
         if self.kind == STIEFEL:
             u, s, v = thin_svd(y)
-            if s[-1] <= RANK_RTOL * s[0]:
-                raise SingularityError("projection target is rank deficient")
-            return u @ v.T
+            reject_blocks(SingularityError, s[..., -1] <= RANK_RTOL * s[..., 0],
+                          "projection target is rank deficient")
+            return u @ np.swapaxes(v, -1, -2)
         return y @ spd_inverse_sqrt(self.gram(y))
 
-    def project_stack(self, ys):
-        """Project a stack of matrices, shape (n, d, r); agent index first.
-
-        On failure the raised :class:`SingularityError` carries the index of
-        the offending block in its ``block`` attribute.
-        """
-        if self.kind == STIEFEL:
-            u, s, vt = np.linalg.svd(ys, full_matrices=False)
-            bad = np.nonzero(s[:, -1] <= RANK_RTOL * s[:, 0])[0]
-            if bad.size:
-                err = SingularityError(f"projection target for block {bad[0]} is rank deficient")
-                err.block = int(bad[0])
-                raise err
-            return u @ vt
-        out = []
-        for i, y in enumerate(ys):
-            try:
-                out.append(self.project(y))
-            except SingularityError as exc:
-                exc.block = i
-                raise
-        return np.stack(out)
-
     def tangent_project(self, x, u):
-        """Euclidean-orthogonal projection of u onto the tangent space at x."""
+        """Euclidean-orthogonal projection of u onto the tangent space at x,
+        or blockwise for stacks x and u."""
+        xt = np.swapaxes(x, -1, -2)
         if self.kind == STIEFEL:
-            return u - x @ _sym(np.swapaxes(x, -1, -2) @ u)
+            return u - x @ sym(xt @ u)
         bx = self.b @ x
-        s = lyapunov_solve(bx.T @ bx, _sym(x.T @ (self.b @ u)))
+        s = lyapunov_solve(np.swapaxes(bx, -1, -2) @ bx, sym(xt @ (self.b @ u)))
         return u - bx @ s
 
-    def tangent_project_stack(self, xs, us):
-        if self.kind == STIEFEL:
-            return us - xs @ _sym(np.swapaxes(xs, -1, -2) @ us)
-        return np.stack([self.tangent_project(x, u) for x, u in zip(xs, us)])
-
-    def riemannian_gradient(self, x, egrad):
-        """Riemannian gradient under the Euclidean metric: the tangent projection."""
-        return self.tangent_project(x, egrad)
+    # The iteration loop calls the maps on agent stacks by these names, which
+    # keeps their time apart from the single-matrix calls in per-layer traces.
+    project_stack = project
+    tangent_project_stack = tangent_project
 
     # -- sampling ----------------------------------------------------------
 
@@ -170,18 +145,6 @@ class ManifoldSpec:
             if nv > 0:
                 v = v * (norm / nv)
         return v
-
-    def diameter_bound(self):
-        """Upper bound on max ||x - y|| over the manifold.
-
-        Every Stiefel point has norm sqrt(r), so the diameter is at most
-        2 sqrt(r); for the B-Stiefel manifold the bound rescales by the
-        smallest eigenvalue of B.
-        """
-        if self.kind == STIEFEL:
-            return 2.0 * np.sqrt(self.r)
-        w, _ = sym_eig(self.b)
-        return 2.0 * np.sqrt(self.r / w[0])
 
 
 def stiefel(d, r, gamma=0.5):

@@ -134,6 +134,10 @@ class MixingMatrix:
             raise InvalidInputError("eigenvalues must lie in (-1, 1]")
         if self.t < 1:
             raise InvalidInputError("t must be a positive integer")
+        # w is symmetric, so its singular values are the |eigenvalues|.
+        s = np.sort(np.abs(eig))
+        if abs(self.sigma2 - (s[-2] if self.n > 1 else 0.0)) > 1e-10:
+            raise InvalidInputError("sigma2 must be the second-largest singular value of w")
 
     def contraction_rate(self):
         """The linear consensus rate bound 2 sigma2^t."""

@@ -2,9 +2,17 @@
 
 Thin wrappers around LAPACK (via numpy) that pin down conventions and
 tolerances: thin SVD, symmetric eigendecomposition, SPD inverse square
-root, minimum-norm least squares, and a small symmetric Lyapunov-type
-solver.  All functions are pure and deterministic: identical input bits
-give identical output bits.
+root, and a small symmetric Lyapunov-type solver.  All functions are pure
+and deterministic: identical input bits give identical output bits.
+
+Every kernel takes one matrix or a stack of them with the block index
+first, shape (n, p, q) for :func:`thin_svd` and (n, r, r) for the others.
+A stack goes through one batched LAPACK call, and each of its blocks gets
+the same bits as a call on that block alone.  The finite check runs once
+over the whole input; the symmetry check (``SYM_RTOL``) and the
+positive-definiteness check (``RANK_RTOL``) run on every block.  An error
+raised for a stack names the first failing block in its message and in
+its ``block`` attribute.
 """
 
 import numpy as np
@@ -19,75 +27,95 @@ RANK_RTOL = 1e-12
 SYM_RTOL = 1e-8
 
 
+def sym(a):
+    """The symmetric part of a matrix or of every block of a stack."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def reject_blocks(error, bad, message):
+    """Raise ``error`` if ``bad`` is set anywhere.
+
+    ``bad`` is a boolean for one matrix, or one boolean per block for a
+    stack; then the error names the first failing block and carries its
+    index as ``block``.
+    """
+    bad = np.asarray(bad)
+    if not bad.any():
+        return
+    if bad.ndim == 0:
+        raise error(message)
+    block = int(np.flatnonzero(bad)[0])
+    err = error(f"block {block}: {message}")
+    err.block = block
+    raise err
+
+
 def _require_finite(m, name="matrix"):
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
-        raise InvalidInputError(f"{name} contains NaN or Inf")
+        bad = ~np.isfinite(m).all(axis=(-2, -1)) if m.ndim == 3 else True
+        reject_blocks(InvalidInputError, bad, f"{name} contains NaN or Inf")
     return m
 
 
 def thin_svd(m):
-    """Thin singular value decomposition of a p-by-q matrix, p >= q.
+    """Thin singular value decomposition of a p-by-q matrix, p >= q, or of
+    an (n, p, q) stack of them.
 
-    Returns (u, s, v) with u of shape (p, q), s the q singular values in
-    descending order, and v of shape (q, q), such that u @ diag(s) @ v.T
-    reconstructs the input.
+    Returns (u, s, v) with u of shape (..., p, q), s the q singular values
+    in descending order, and v of shape (..., q, q), such that
+    u @ diag(s) @ v.T reconstructs the input.
     """
     m = _require_finite(m)
-    if m.ndim != 2 or m.shape[0] < m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-2] < m.shape[-1]:
         raise InvalidInputError(f"thin_svd expects p >= q, got shape {m.shape}")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return u, s, vt.T
+    return u, s, np.swapaxes(vt, -1, -2)
 
 
 def sym_eig(m):
-    """Eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a symmetric matrix or of each block of a stack.
 
     Returns (w, v) with eigenvalues w ascending and orthonormal eigenvector
     columns v.  The input is symmetrized internally; asymmetry beyond
-    ``SYM_RTOL`` relative to its norm is rejected.
+    ``SYM_RTOL`` relative to a block's norm is rejected.
     """
     m = _require_finite(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidInputError(f"sym_eig expects a square matrix, got shape {m.shape}")
-    scale = np.linalg.norm(m)
-    if scale > 0 and np.linalg.norm(m - m.T) > SYM_RTOL * scale:
-        raise InvalidInputError("matrix is not symmetric within tolerance")
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
+        raise InvalidInputError(f"sym_eig expects square matrices, got shape {m.shape}")
+    # Squared Frobenius norms per block: ||m - m'||^2 > SYM_RTOL^2 ||m||^2.
+    d = m - np.swapaxes(m, -1, -2)
+    asym_sq = np.einsum("...ij,...ij->...", d, d)
+    scale_sq = np.einsum("...ij,...ij->...", m, m)
+    reject_blocks(InvalidInputError, asym_sq > SYM_RTOL**2 * scale_sq,
+                  "matrix is not symmetric within tolerance")
+    return np.linalg.eigh(sym(m))
+
+
+def _spd_eig(m, message):
+    w, v = sym_eig(m)
+    reject_blocks(SingularityError, (w[..., -1] <= 0) | (w[..., 0] <= RANK_RTOL * w[..., -1]),
+                  message)
     return w, v
 
 
 def spd_inverse_sqrt(m):
-    """Inverse square root R of an SPD matrix, satisfying R @ m @ R = I."""
-    w, v = sym_eig(m)
-    if w[-1] <= 0 or w[0] <= RANK_RTOL * w[-1]:
-        raise SingularityError("matrix is not positive definite within tolerance")
-    return (v / np.sqrt(w)) @ v.T
-
-
-def least_squares(a, b):
-    """Minimum-norm minimizer of ||a @ x - b||.
-
-    Rank-deficient systems are handled by the minimum-norm solution, with
-    singular values below 1e-10 times the largest treated as zero.
-    """
-    a = _require_finite(a, "lhs")
-    b = _require_finite(b, "rhs")
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=1e-10)
-    return x
+    """Inverse square root R of an SPD matrix, satisfying R @ m @ R = I,
+    or of each block of a stack."""
+    w, v = _spd_eig(m, "matrix is not positive definite within tolerance")
+    return (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
 def lyapunov_solve(m, c):
-    """Symmetric solution S of m @ S + S @ m = 2 c, for SPD m and symmetric c.
+    """Symmetric solution S of m @ S + S @ m = 2 c, for SPD m and symmetric c,
+    or blockwise for stacks m and c.
 
     Solved in the eigenbasis of m, where the equation decouples entrywise to
     S_ij = 2 C_ij / (w_i + w_j).
     """
     c = _require_finite(c, "rhs")
-    w, v = sym_eig(m)
-    if w[-1] <= 0 or w[0] <= RANK_RTOL * w[-1]:
-        raise SingularityError("coefficient matrix is not positive definite")
-    ct = v.T @ (0.5 * (c + c.T)) @ v
-    st = 2.0 * ct / np.add.outer(w, w)
-    s = v @ st @ v.T
-    return 0.5 * (s + s.T)
+    w, v = _spd_eig(m, "coefficient matrix is not positive definite")
+    vt = np.swapaxes(v, -1, -2)
+    ct = vt @ sym(c) @ v
+    st = 2.0 * ct / (w[..., :, None] + w[..., None, :])
+    return sym(v @ st @ vt)

@@ -17,7 +17,7 @@ from decmanopt.algorithms import (
 from decmanopt.errors import InvalidInputError, TubeViolationError
 from decmanopt.metrics import induced_mean, write_trace
 from decmanopt.network import MixingMatrix, build_graph, metropolis_weights
-from decmanopt.problems import PcaProblem, gen_pca_data
+from decmanopt.problems import GevpProblem, PcaProblem, gen_gevp_data, gen_pca_data
 
 
 def single_agent_mixing():
@@ -124,12 +124,29 @@ def test_dprgt_symmetry_preserved():
             assert np.max(np.abs(system.points[i] - system.points[0])) <= 1e-12
 
 
+def test_dprgt_cached_gradients_equal_fresh_evaluation_bitwise():
+    # The tracking gap reads last_grads, so they must be exactly what a fresh
+    # evaluation at the current points gives.
+    for gen in (gen_pca_data, gen_gevp_data):
+        problem, _ = gen(4, 50, 8, 3, 0.8, seed=38)
+        spec = problem.spec
+        m = metropolis_weights(build_graph("ring", 4))
+        system = init_tracker(init_system(problem, "perturbed", seed=39, delta=0.1), problem)
+        for _ in range(5):
+            system = dprgt_step(system, m, 1, problem, 0.1)
+            fresh = spec.tangent_project_stack(system.points, problem.local_grads(system.points))
+            assert system.last_grads.tobytes() == fresh.tobytes()
+
+
 def test_dprgt_requires_tracker():
     problem, _ = gen_pca_data(4, 50, 8, 3, 0.8, seed=15)
     m = metropolis_weights(build_graph("ring", 4))
     system = init_system(problem, "identical", seed=16)
     with pytest.raises(InvalidInputError):
         dprgt_step(system, m, 1, problem, 0.1)
+    # a tracker without the gradients it was built from cannot be advanced
+    with pytest.raises(InvalidInputError):
+        run(RunConfig(max_iters=1), problem, m, AgentSystem(system.points, system.points))
 
 
 def test_run_zero_iterations():
@@ -226,6 +243,22 @@ def test_run_tube_violation_mid_run_carries_context():
     assert info.value.iteration == 1
     assert info.value.agent == 0
     assert len(info.value.records) == 1  # the initial record survives
+
+
+def test_run_b_stiefel_tube_violation_names_agent():
+    # Agent 2 averages two antipodal B-feasible neighbors, so its B-polar
+    # target is zero after the first mix.
+    from decmanopt import manifolds
+
+    spec = manifolds.generalized_stiefel(2, 1, np.diag([1.0, 4.0]))
+    problem = GevpProblem([np.eye(2)] * 3, spec)
+    w = np.array([[0.75, 0.25, 0.0], [0.25, 0.25, 0.5], [0.0, 0.5, 0.5]])
+    m = MixingMatrix(3, w, float(np.linalg.svd(w, compute_uv=False)[1]))
+    points = np.array([[[0.0], [0.5]], [[1.0], [0.0]], [[-1.0], [0.0]]])
+    with pytest.raises(TubeViolationError) as info:
+        run(RunConfig(algorithm="consensus", max_iters=5), problem, m, AgentSystem(points))
+    assert info.value.iteration == 1
+    assert info.value.agent == 2
 
 
 def test_tracking_conservation_and_boundedness():

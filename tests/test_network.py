@@ -88,6 +88,13 @@ def test_mixing_matrix_invariant_rejection():
         MixingMatrix(2, np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)  # zero diagonal
 
 
+def test_mixing_matrix_rejects_wrong_sigma2():
+    w = np.array([[0.75, 0.25], [0.25, 0.75]])  # singular values 1 and 1/2
+    assert MixingMatrix(2, w, 0.5).sigma2 == 0.5
+    with pytest.raises(InvalidInputError, match="sigma2"):
+        MixingMatrix(2, w, 0.5 + 1e-9)
+
+
 def test_mix_consensus_fixed_point():
     m = metropolis_weights(build_graph("ring", 6))
     x = np.tile(np.arange(12.0).reshape(4, 3), (6, 1, 1))

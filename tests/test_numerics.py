@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from decmanopt.errors import InvalidInputError, SingularityError
 from decmanopt.numerics import (
-    least_squares,
     lyapunov_solve,
     spd_inverse_sqrt,
     sym_eig,
@@ -104,40 +104,6 @@ def test_spd_inverse_sqrt_rejects_indefinite():
         spd_inverse_sqrt(np.diag([1.0, 0.0]))
 
 
-def test_least_squares_identity():
-    assert np.allclose(least_squares(np.eye(2), np.array([1.0, 2.0])), [1.0, 2.0])
-
-
-def test_least_squares_averages_residuals():
-    x = least_squares(np.array([[1.0], [1.0]]), np.array([1.0, 3.0]))
-    assert np.allclose(x, [2.0])
-
-
-def test_least_squares_normal_equation_oracle():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((30, 7))
-    b = rng.standard_normal(30)
-    x = least_squares(a, b)
-    assert np.linalg.norm(a.T @ (a @ x - b)) <= 1e-8
-
-
-def test_least_squares_matches_normal_solve_full_rank():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        a = rng.standard_normal((25, 6))
-        b = rng.standard_normal(25)
-        x = least_squares(a, b)
-        x_ref = np.linalg.solve(a.T @ a, a.T @ b)
-        assert np.linalg.norm(x - x_ref) <= 1e-8
-
-
-def test_least_squares_min_norm_on_rank_deficient():
-    # Duplicate columns: the minimizer set is a line; lstsq picks min norm.
-    a = np.array([[1.0, 1.0], [2.0, 2.0]])
-    x = least_squares(a, np.array([1.0, 2.0]))
-    assert np.allclose(x, [0.5, 0.5], atol=1e-12)
-
-
 def test_lyapunov_identity_coefficient():
     rng = np.random.default_rng(6)
     c = rng.standard_normal((4, 4))
@@ -175,3 +141,88 @@ def test_determinism_bitwise():
     assert u1.tobytes() == u2.tobytes()
     assert s1.tobytes() == s2.tobytes()
     assert v1.tobytes() == v2.tobytes()
+
+
+# -- stacked kernels ---------------------------------------------------------
+
+
+def random_spd_stack(rng, n=6, r=5):
+    g = rng.standard_normal((n, r, r))
+    return np.swapaxes(g, -1, -2) @ g + 0.5 * np.eye(r)
+
+
+def random_sym_stack(rng, n=6, r=5):
+    c = rng.standard_normal((n, r, r))
+    return c + np.swapaxes(c, -1, -2)
+
+
+def test_lyapunov_stack_matches_scipy_sylvester_oracle():
+    rng = np.random.default_rng(9)
+    ms, cs = random_spd_stack(rng), random_sym_stack(rng)
+    ss = lyapunov_solve(ms, cs)
+    for m, c, s in zip(ms, cs, ss):
+        ref = scipy.linalg.solve_sylvester(m, m, 2.0 * c)
+        assert np.linalg.norm(s - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_spd_inverse_sqrt_stack_matches_scipy_fractional_power_oracle():
+    rng = np.random.default_rng(10)
+    ms = random_spd_stack(rng)
+    rs = spd_inverse_sqrt(ms)
+    for m, r in zip(ms, rs):
+        ref = scipy.linalg.fractional_matrix_power(m, -0.5)
+        assert np.max(np.abs(r - ref.real)) <= 1e-10
+        assert np.max(np.abs(ref.imag)) <= 1e-10
+
+
+def test_stacked_kernels_equal_per_matrix_calls_bitwise():
+    rng = np.random.default_rng(11)
+    ms, cs = random_spd_stack(rng), random_sym_stack(rng)
+    w, v = sym_eig(ms)
+    rs = spd_inverse_sqrt(ms)
+    ss = lyapunov_solve(ms, cs)
+    ys = rng.standard_normal((6, 8, 3))
+    u, sv, vv = thin_svd(ys)
+    for i in range(len(ms)):
+        w1, v1 = sym_eig(ms[i])
+        assert w[i].tobytes() == w1.tobytes() and v[i].tobytes() == v1.tobytes()
+        assert rs[i].tobytes() == spd_inverse_sqrt(ms[i]).tobytes()
+        assert ss[i].tobytes() == lyapunov_solve(ms[i], cs[i]).tobytes()
+        u1, s1, v1 = thin_svd(ys[i])
+        assert u[i].tobytes() == u1.tobytes() and sv[i].tobytes() == s1.tobytes()
+        assert vv[i].tobytes() == v1.tobytes()
+
+
+def lyapunov_on_coefficient(m):
+    return lyapunov_solve(m, np.eye(m.shape[-1]))
+
+
+def lyapunov_on_rhs(c):
+    return lyapunov_solve(np.eye(c.shape[-1]), c)
+
+
+@pytest.mark.parametrize("kernel", [sym_eig, spd_inverse_sqrt, lyapunov_on_coefficient])
+def test_stack_rejects_an_asymmetric_block_naming_it(kernel):
+    ms = random_spd_stack(np.random.default_rng(12))
+    ms[3, 0, 1] += 1.0
+    with pytest.raises(InvalidInputError, match="block 3") as info:
+        kernel(ms)
+    assert info.value.block == 3
+
+
+@pytest.mark.parametrize("kernel", [spd_inverse_sqrt, lyapunov_on_coefficient])
+def test_stack_rejects_an_indefinite_block_naming_it(kernel):
+    ms = random_spd_stack(np.random.default_rng(13))
+    ms[4] = np.diag([1.0, 2.0, -1.0, 3.0, 4.0])
+    with pytest.raises(SingularityError, match="block 4") as info:
+        kernel(ms)
+    assert info.value.block == 4
+
+
+@pytest.mark.parametrize("kernel", [sym_eig, spd_inverse_sqrt, thin_svd, lyapunov_on_rhs])
+def test_stack_rejects_a_non_finite_block_naming_it(kernel):
+    ms = random_spd_stack(np.random.default_rng(14))
+    ms[1, 2, 2] = np.nan
+    with pytest.raises(InvalidInputError, match="block 1") as info:
+        kernel(ms)
+    assert info.value.block == 1
