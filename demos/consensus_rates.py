@@ -16,7 +16,7 @@ def study(t, iters=120):
     cfg = dm.RunConfig(algorithm="consensus", t=t, max_iters=iters)
     problem, truth = dm.gen_pca_data(8, 1000, 10, 5, 0.8, seed=7)
     system = dm.init_system(problem, "perturbed", seed=11, delta=0.1)
-    mixing = dm.metropolis_weights(dm.build_graph("ring", 8), t=t)
+    mixing = dm.metropolis_weights(dm.build_graph("ring", 8))
     trace = dm.run(cfg, problem, mixing, system, truth)
     errors = np.sqrt(8 * np.array([r.consensus_error for r in trace.records]))
     errors = errors[errors > 1e-13]

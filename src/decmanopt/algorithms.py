@@ -65,18 +65,17 @@ class StepSchedule:
 class RunConfig:
     """What to run and for how long.
 
-    ``stop_eps``, when set, stops the run at the first recorded iteration
-    where both the consensus error and the squared gradient norm at the
-    induced mean fall below it.  Records are taken every ``trace_every``
-    iterations (the mean projection costs an SVD, so the cadence is the
-    metric-cost knob).
+    ``t`` is the number of gossip rounds per iteration.  ``stop_eps``, when
+    set, stops the run at the first recorded iteration where both the
+    consensus error and the squared gradient norm at the induced mean fall
+    below it.  Records are taken every ``trace_every`` iterations (the mean
+    projection costs an SVD, so the cadence is the metric-cost knob).
     """
 
     algorithm: str = DPRGT
     t: int = 1
     schedule: StepSchedule = field(default_factory=StepSchedule)
     max_iters: int = 1000
-    seed: int = 0
     stop_eps: float | None = None
     trace_every: int = 1
 

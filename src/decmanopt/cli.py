@@ -46,13 +46,14 @@ def _build_parser():
     gen = sub.add_parser("gen-data", parents=[], help="generate a synthetic dataset bundle")
     gen.add_argument("--kind", required=True, choices=["pca", "gevp", "lrmc"])
     gen.add_argument("--out", required=True, help="bundle directory (created if missing)")
-    gen.add_argument("--n", type=int, default=8, help="agent count")
-    gen.add_argument("--d", type=int, default=10, help="ambient columns (pca/gevp)")
-    gen.add_argument("--r", type=int, default=5, help="frame columns")
-    gen.add_argument("--m-i", type=int, default=1000, help="rows per agent (pca/gevp)")
-    gen.add_argument("--xi", type=float, default=0.8, help="singular value decay (pca/gevp)")
-    gen.add_argument("--m", type=int, default=100, help="matrix rows (lrmc)")
-    gen.add_argument("--T", type=int, default=1000, help="matrix columns (lrmc)")
+    # each size flag shares its type and default with the problem.* config key
+    keys = {row.attr: row for row in harness.CONFIG_KEYS}
+    for attr, text in (("n", "agent count"), ("d", "ambient columns (pca/gevp)"),
+                       ("r", "frame columns"), ("m_i", "rows per agent (pca/gevp)"),
+                       ("xi", "singular value decay (pca/gevp)"), ("m", "matrix rows (lrmc)"),
+                       ("T", "matrix columns (lrmc)")):
+        gen.add_argument("--" + attr.replace("_", "-"), type=keys[attr].cast,
+                         default=keys[attr].default, help=text)
     gen.add_argument("--seed", type=int, default=0)
 
     def add_run_flags(p):
@@ -85,11 +86,6 @@ def _build_parser():
     return parser
 
 
-def _load_config(args):
-    raw = harness.parse_config_file(args.config) if args.config else {}
-    return harness.resolve_config(harness.apply_overrides(raw, args.set))
-
-
 def _cmd_gen_data(args):
     if args.kind == "pca":
         problem, truth = problems.gen_pca_data(args.n, args.m_i, args.d, args.r, args.xi, args.seed)
@@ -106,14 +102,14 @@ def _cmd_gen_data(args):
 
 
 def _cmd_run(args):
-    cfg = _load_config(args)
+    cfg = harness.load_config(args.config, args.set)
     trace_path = harness.run_experiment(cfg, no_clobber=args.no_clobber)
     print(f"trace written to {trace_path}", file=sys.stderr)
     return 0
 
 
 def _cmd_sweep(args):
-    cfg = _load_config(args)
+    cfg = harness.load_config(args.config, args.set)
     try:
         betas = [float(tok) for tok in args.betas.split(",") if tok.strip()]
     except ValueError as exc:
@@ -128,7 +124,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_rate_study(args):
-    cfg = _load_config(args)
+    cfg = harness.load_config(args.config, args.set)
     result = harness.rate_study(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     rates_path = os.path.join(cfg.out_dir, "rates.csv")
@@ -149,11 +145,8 @@ def _cmd_check(args):
     if args.manifold == "stiefel":
         spec = manifolds.stiefel(args.d, args.r, gamma=args.gamma or 0.5)
     else:
-        rng = np.random.default_rng(args.seed)
-        q, rr = np.linalg.qr(rng.standard_normal((args.d, args.d)))
-        q = q * np.sign(np.diag(rr))
-        b = q @ np.diag(1.1 ** np.linspace(0.0, args.d / 2.0, args.d)) @ q.T
-        spec = manifolds.generalized_stiefel(args.d, args.r, 0.5 * (b + b.T), gamma=args.gamma)
+        b = problems.gevp_constraint(args.d, np.random.default_rng(args.seed))
+        spec = manifolds.generalized_stiefel(args.d, args.r, b, gamma=args.gamma)
     report = manifolds.check_projection_lipschitz(
         spec, args.trials, noise_scale=args.noise_scale, seed=args.seed
     )

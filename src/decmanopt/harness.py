@@ -24,7 +24,8 @@ manifest reproduces the trace byte for byte.
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,34 +37,73 @@ _REQUIRED = object()
 # Manifest-only keys; ignored when a manifest is re-used as a config.
 RESERVED_PREFIXES = ("status", "abort.", "final.", "timing.", "network.", "sweep.")
 
-_SCHEMA_KEYS = {
-    "problem.kind",
-    "problem.path",
-    "problem.n",
-    "problem.d",
-    "problem.r",
-    "problem.m_i",
-    "problem.xi",
-    "problem.m",
-    "problem.T",
-    "problem.seed",
-    "graph.topology",
-    "graph.p",
-    "graph.seed",
-    "algo.kind",
-    "algo.t",
-    "algo.schedule",
-    "algo.beta",
-    "run.K",
-    "run.seed",
-    "run.eps",
-    "run.trace_every",
-    "run.init",
-    "run.delta",
-    "metrics.agent_dist",
-    "out.dir",
-    "out.points",
-}
+
+def _bool(value):
+    lowered = value.lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError(value)
+
+
+class ConfigKey(NamedTuple):
+    """One config key: its ``ExperimentConfig`` attribute, how a raw value is
+    parsed, and the default when the key is absent.  A callable default is
+    a function of the values resolved so far (by attribute) and may return
+    ``_REQUIRED``; ``None`` marks an optional key left out of the echo."""
+
+    key: str
+    attr: str
+    cast: Callable
+    default: object = _REQUIRED
+    choices: tuple | None = None
+
+
+# Row order is the manifest echo order.
+CONFIG_KEYS = (
+    ConfigKey("problem.kind", "problem_kind", str, choices=("pca", "gevp", "lrmc", "bundle")),
+    ConfigKey("problem.n", "n", int, 8),
+    ConfigKey("problem.d", "d", int, 10),
+    ConfigKey("problem.r", "r", int, 5),
+    ConfigKey("problem.m_i", "m_i", int, 1000),
+    ConfigKey("problem.xi", "xi", float, 0.8),
+    ConfigKey("problem.m", "m", int, 100),
+    ConfigKey("problem.T", "T", int, 1000),
+    ConfigKey("problem.seed", "problem_seed", int,
+              lambda done: 0 if done["problem_kind"] == "bundle" else _REQUIRED),
+    ConfigKey("graph.topology", "topology", str, choices=("ring", "complete", "er")),
+    ConfigKey("graph.p", "p", float, 0.3),
+    ConfigKey("graph.seed", "graph_seed", int,
+              lambda done: _REQUIRED if done["topology"] == "er" else 0),
+    ConfigKey("algo.kind", "algo_kind", str, choices=("consensus", "dprgd", "dprgt")),
+    ConfigKey("algo.t", "t", int, 1),
+    ConfigKey("algo.schedule", "schedule", str, "constant", ("constant", "diminishing")),
+    ConfigKey("algo.beta", "beta", float,
+              lambda done: _REQUIRED if done["algo_kind"] in ("dprgd", "dprgt") else 0.0),
+    ConfigKey("run.K", "max_iters", int),
+    ConfigKey("run.seed", "run_seed", int),
+    ConfigKey("run.trace_every", "trace_every", int, 1),
+    ConfigKey("run.init", "init_mode", str, "identical", ("identical", "perturbed")),
+    ConfigKey("run.delta", "delta", float, 0.1),
+    ConfigKey("metrics.agent_dist", "agent_dist", _bool, False),
+    ConfigKey("out.dir", "out_dir", str),
+    ConfigKey("out.points", "save_points", _bool, False),
+    ConfigKey("problem.path", "problem_path", str,
+              lambda done: _REQUIRED if done["problem_kind"] == "bundle" else None),
+    ConfigKey("run.eps", "eps", float, None),
+)
+_KNOWN_KEYS = frozenset(row.key for row in CONFIG_KEYS)
+
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [(row.attr, row.cast) for row in CONFIG_KEYS] + [("echo", tuple)],
+    frozen=True,
+    namespace={
+        "__doc__": "Fully resolved experiment; ``echo`` maps every key to its final value.",
+        "__module__": __name__,
+    },
+)
 
 
 def parse_config_text(text, origin="<config>"):
@@ -105,161 +145,41 @@ def _reserved(key):
     return any(key == p or key.startswith(p) for p in RESERVED_PREFIXES)
 
 
-class _Resolver:
-    def __init__(self, raw):
-        self.raw = raw
-        self.used = set()
-
-    def get(self, key, default=_REQUIRED, cast=str, choices=None):
-        self.used.add(key)
-        if key not in self.raw:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required config key {key}")
-            return default
-        value = self.raw[key]
-        try:
-            value = cast(value)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key}: cannot parse {self.raw[key]!r}") from exc
-        if choices is not None and value not in choices:
-            raise ConfigError(f"config key {key}: {value!r} not one of {sorted(choices)}")
-        return value
-
-    def check_unknown(self):
-        unknown = [
-            k for k in self.raw
-            if k not in _SCHEMA_KEYS and not _reserved(k)
-        ]
-        if unknown:
-            raise ConfigError(f"unknown config key {unknown[0]}")
-
-
-def _bool(value):
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(value)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved experiment; ``echo`` maps every key to its final value."""
-
-    problem_kind: str
-    problem_path: str | None
-    n: int
-    d: int
-    r: int
-    m_i: int
-    xi: float
-    m: int
-    T: int
-    problem_seed: int
-    topology: str
-    p: float
-    graph_seed: int
-    algo_kind: str
-    t: int
-    schedule: str
-    beta: float
-    max_iters: int
-    run_seed: int
-    eps: float | None
-    trace_every: int
-    init_mode: str
-    delta: float
-    agent_dist: bool
-    out_dir: str
-    save_points: bool
-    echo: tuple
+def _resolve(raw, row, default):
+    if row.key not in raw:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required config key {row.key}")
+        return default
+    try:
+        value = row.cast(raw[row.key])
+    except ValueError as exc:
+        raise ConfigError(f"config key {row.key}: cannot parse {raw[row.key]!r}") from exc
+    if row.choices is not None and value not in row.choices:
+        raise ConfigError(f"config key {row.key}: {value!r} not one of {sorted(row.choices)}")
+    return value
 
 
 def resolve_config(raw):
     """Validate and type the raw mapping; unknown keys are rejected."""
-    res = _Resolver(raw)
-    kind = res.get("problem.kind", choices={"pca", "gevp", "lrmc", "bundle"})
-    path = res.get("problem.path", default=None)
-    if kind == "bundle" and path is None:
-        raise ConfigError("missing required config key problem.path (problem.kind = bundle)")
-    n = res.get("problem.n", default=8, cast=int)
-    algo_kind = res.get("algo.kind", choices={"consensus", "dprgd", "dprgt"})
-    needs_beta = algo_kind in ("dprgd", "dprgt")
-    cfg = ExperimentConfig(
-        problem_kind=kind,
-        problem_path=path,
-        n=n,
-        d=res.get("problem.d", default=10, cast=int),
-        r=res.get("problem.r", default=5, cast=int),
-        m_i=res.get("problem.m_i", default=1000, cast=int),
-        xi=res.get("problem.xi", default=0.8, cast=float),
-        m=res.get("problem.m", default=100, cast=int),
-        T=res.get("problem.T", default=1000, cast=int),
-        problem_seed=res.get("problem.seed", default=0 if kind == "bundle" else _REQUIRED, cast=int),
-        topology=res.get("graph.topology", choices={"ring", "complete", "er"}),
-        p=res.get("graph.p", default=0.3, cast=float),
-        graph_seed=res.get(
-            "graph.seed",
-            default=_REQUIRED if raw.get("graph.topology") == "er" else 0,
-            cast=int,
-        ),
-        algo_kind=algo_kind,
-        t=res.get("algo.t", default=1, cast=int),
-        schedule=res.get("algo.schedule", default="constant", choices={"constant", "diminishing"}),
-        beta=res.get("algo.beta", default=_REQUIRED if needs_beta else 0.0, cast=float),
-        max_iters=res.get("run.K", cast=int),
-        run_seed=res.get("run.seed", cast=int),
-        eps=res.get("run.eps", default=None, cast=float),
-        trace_every=res.get("run.trace_every", default=1, cast=int),
-        init_mode=res.get("run.init", default="identical", choices={"identical", "perturbed"}),
-        delta=res.get("run.delta", default=0.1, cast=float),
-        agent_dist=res.get("metrics.agent_dist", default=False, cast=_bool),
-        out_dir=res.get("out.dir"),
-        save_points=res.get("out.points", default=False, cast=_bool),
-        echo=(),
+    done = {}
+    for row in CONFIG_KEYS:
+        default = row.default(done) if callable(row.default) else row.default
+        done[row.attr] = _resolve(raw, row, default)
+    unknown = [k for k in raw if k not in _KNOWN_KEYS and not _reserved(k)]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]}")
+    echo = tuple(
+        (row.key, str(value).lower() if isinstance(value, bool) else value)
+        for row in CONFIG_KEYS
+        if (value := done[row.attr]) is not None
     )
-    res.check_unknown()
-    echo = _echo_items(cfg)
-    return ExperimentConfig(**{**cfg.__dict__, "echo": tuple(echo.items())})
+    return ExperimentConfig(**done, echo=echo)
 
 
-def _echo_items(cfg):
-    echo = {
-        "problem.kind": cfg.problem_kind,
-        "problem.n": cfg.n,
-        "problem.d": cfg.d,
-        "problem.r": cfg.r,
-        "problem.m_i": cfg.m_i,
-        "problem.xi": cfg.xi,
-        "problem.m": cfg.m,
-        "problem.T": cfg.T,
-        "problem.seed": cfg.problem_seed,
-        "graph.topology": cfg.topology,
-        "graph.p": cfg.p,
-        "graph.seed": cfg.graph_seed,
-        "algo.kind": cfg.algo_kind,
-        "algo.t": cfg.t,
-        "algo.schedule": cfg.schedule,
-        "algo.beta": cfg.beta,
-        "run.K": cfg.max_iters,
-        "run.seed": cfg.run_seed,
-        "run.trace_every": cfg.trace_every,
-        "run.init": cfg.init_mode,
-        "run.delta": cfg.delta,
-        "metrics.agent_dist": str(cfg.agent_dist).lower(),
-        "out.dir": cfg.out_dir,
-        "out.points": str(cfg.save_points).lower(),
-    }
-    if cfg.problem_path is not None:
-        echo["problem.path"] = cfg.problem_path
-    if cfg.eps is not None:
-        echo["run.eps"] = cfg.eps
-    return echo
-
-
-def load_config(path, overrides=()):
-    return resolve_config(apply_overrides(parse_config_file(path), overrides))
+def load_config(path=None, overrides=()):
+    """Resolve a config file (none: only the overrides) with overrides applied."""
+    raw = parse_config_file(path) if path else {}
+    return resolve_config(apply_overrides(raw, overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +198,7 @@ def build_problem(cfg):
 
 def build_mixing(cfg, n):
     graph = network.build_graph(cfg.topology, n, seed=cfg.graph_seed, p=cfg.p)
-    return network.metropolis_weights(graph, t=cfg.t)
+    return network.metropolis_weights(graph)
 
 
 def build_run(cfg):
@@ -294,7 +214,6 @@ def build_run(cfg):
         t=cfg.t,
         schedule=algorithms.StepSchedule(cfg.schedule, cfg.beta) if cfg.beta > 0 else algorithms.StepSchedule(),
         max_iters=cfg.max_iters,
-        seed=cfg.run_seed,
         stop_eps=cfg.eps,
         trace_every=cfg.trace_every,
     )
@@ -397,15 +316,7 @@ def sweep(cfg, betas, metric="grad_norm_sq", workers=1):
 
     def run_candidate(beta):
         problem, truth, mixing, system, run_cfg = build_run(cfg)
-        run_cfg = algorithms.RunConfig(
-            algorithm=run_cfg.algorithm,
-            t=run_cfg.t,
-            schedule=algorithms.StepSchedule(cfg.schedule, beta),
-            max_iters=run_cfg.max_iters,
-            seed=run_cfg.seed,
-            stop_eps=run_cfg.stop_eps,
-            trace_every=run_cfg.trace_every,
-        )
+        run_cfg = replace(run_cfg, schedule=algorithms.StepSchedule(cfg.schedule, beta))
         try:
             trace = algorithms.run(run_cfg, problem, mixing, system, truth)
         except TubeViolationError:
@@ -486,9 +397,8 @@ def rate_study(cfg):
     """
     if cfg.algo_kind != "consensus":
         raise ConfigError("rate_study requires algo.kind = consensus")
-    base = resolve_config({**dict(cfg.echo), "run.trace_every": "1"})
-    problem, truth, mixing, system, run_cfg = build_run(base)
-    trace = algorithms.run(run_cfg, problem, mixing, system, truth)
+    problem, truth, mixing, system, run_cfg = build_run(cfg)
+    trace = algorithms.run(replace(run_cfg, trace_every=1), problem, mixing, system, truth)
     n = problem.n_agents
     errors = np.sqrt(n * np.array([rec.consensus_error for rec in trace.records]))
     cut = np.nonzero(errors < ERROR_FLOOR)[0]
@@ -497,7 +407,7 @@ def rate_study(cfg):
     if errors.size < 2:
         return RateStudyResult(errors, np.array([]), float("nan"), mixing.sigma2, cfg.t)
     ratios = errors[1:] / errors[:-1]
-    bound = mixing.contraction_rate() + 1e-6
+    bound = mixing.contraction_rate(cfg.t) + 1e-6
     worst = float(np.max(ratios))
     if worst > bound:
         raise RuntimeError(f"contraction ratio {worst:.6g} exceeds the bound {bound:.6g}")

@@ -49,12 +49,6 @@ class Graph:
             deg[j] += 1
         return deg
 
-    def adjacency(self):
-        a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = 1.0
-        return a
-
 
 def _connected(n, edges):
     adj = [[] for _ in range(n)]
@@ -115,7 +109,6 @@ class MixingMatrix:
     n: int
     w: np.ndarray = field(repr=False)
     sigma2: float
-    t: int = 1
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -132,19 +125,17 @@ class MixingMatrix:
         eig = np.linalg.eigvalsh(0.5 * (w + w.T))
         if eig[0] <= -1.0 - 1e-10 or eig[-1] > 1.0 + 1e-10:
             raise InvalidInputError("eigenvalues must lie in (-1, 1]")
-        if self.t < 1:
-            raise InvalidInputError("t must be a positive integer")
         # w is symmetric, so its singular values are the |eigenvalues|.
         s = np.sort(np.abs(eig))
         if abs(self.sigma2 - (s[-2] if self.n > 1 else 0.0)) > 1e-10:
             raise InvalidInputError("sigma2 must be the second-largest singular value of w")
 
-    def contraction_rate(self):
-        """The linear consensus rate bound 2 sigma2^t."""
-        return 2.0 * self.sigma2**self.t
+    def contraction_rate(self, t):
+        """The linear consensus rate bound 2 sigma2^t for t gossip rounds."""
+        return 2.0 * self.sigma2**t
 
 
-def metropolis_weights(g, t=1):
+def metropolis_weights(g):
     """Metropolis constant edge weights for a connected graph.
 
     W_ij = 1 / (1 + max(deg_i, deg_j)) on edges, rows filled to one on the
@@ -156,21 +147,19 @@ def metropolis_weights(g, t=1):
         w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     _, s, _ = thin_svd(w)
-    return MixingMatrix(g.n, w, float(s[1]), t)
+    return MixingMatrix(g.n, w, float(s[1]))
 
 
-def mix(m, xs, steps=None):
+def mix(m, xs, steps):
     """Apply t gossip rounds to stacked states: y_i = sum_j (W^t)_ij x_j.
 
     ``xs`` has the agent index first, shape (n, ...).  Implemented as
-    ``steps`` successive single-round mixes; W^t is never formed densely.
+    t = ``steps`` successive single-round mixes; W^t is never formed densely.
     Linear in xs and exactly average preserving (up to roundoff).
     """
     xs = np.asarray(xs, dtype=float)
     if xs.shape[0] != m.n:
         raise InvalidInputError(f"expected {m.n} blocks, got {xs.shape[0]}")
-    if steps is None:
-        steps = m.t
     for _ in range(steps):
         xs = np.tensordot(m.w, xs, axes=(1, 0))
     return xs

@@ -262,11 +262,23 @@ def gevp_scale_exponents(d):
     return np.array([1.0] + [0.5 * (j - 1) for j in range(2, d + 1)])
 
 
-def gen_gevp_data(n, m_i, d, r, xi, seed, scale_exponents=None):
+def gevp_constraint(d, rng):
+    """The SPD constraint matrix B = Q diag(1.1^e) Q' of the GEVP testbed.
+
+    Q is a random orthogonal matrix drawn from ``rng`` (sign-fixed QR of a
+    Gaussian matrix) and e is :func:`gevp_scale_exponents`.
+    """
+    q, rr = np.linalg.qr(rng.standard_normal((d, d)))
+    q = q * np.sign(np.diag(rr))
+    b = q @ np.diag(1.1 ** gevp_scale_exponents(d)) @ q.T
+    return 0.5 * (b + b.T)
+
+
+def gen_gevp_data(n, m_i, d, r, xi, seed):
     """Synthetic generalized eigenvalue instance.
 
     Data matrices as in :func:`gen_pca_data`; the SPD constraint matrix is
-    B = Q diag(1.1^e) Q' with a seeded random orthogonal Q.  The ground
+    :func:`gevp_constraint`, drawn from the same seeded generator.  The ground
     truth is the r smallest generalized eigenpairs of (sum A_i'A_i, B),
     computed by Cholesky reduction to a standard symmetric eigenproblem.
     """
@@ -275,13 +287,7 @@ def gen_gevp_data(n, m_i, d, r, xi, seed, scale_exponents=None):
     rng = np.random.default_rng(seed)
     a, _ = _spectral_data(n, m_i, d, xi, rng)
     agents = _split_rows_randomly(a, n, rng)
-    q, rr = np.linalg.qr(rng.standard_normal((d, d)))
-    q = q * np.sign(np.diag(rr))
-    e = gevp_scale_exponents(d) if scale_exponents is None else np.asarray(scale_exponents, float)
-    if e.shape != (d,):
-        raise InvalidInputError(f"scale_exponents must have length {d}")
-    b = q @ np.diag(1.1**e) @ q.T
-    b = 0.5 * (b + b.T)
+    b = gevp_constraint(d, rng)
 
     s = a.T @ a
     g = np.linalg.cholesky(b)

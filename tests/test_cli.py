@@ -3,8 +3,8 @@ import sys
 
 import pytest
 
-from decmanopt import algorithms
-from decmanopt.cli import main
+from decmanopt import algorithms, harness
+from decmanopt.cli import _build_parser, main
 from decmanopt.errors import TubeViolationError
 
 
@@ -136,6 +136,14 @@ def test_check_generalized(capsys):
     assert main(["check", "--manifold", "generalized-stiefel", "--d", "6", "--r", "2",
                  "--trials", "20"]) == 0
     assert "max_ratio_lip" in capsys.readouterr().err
+
+
+def test_gen_data_defaults_are_the_config_defaults():
+    args = _build_parser().parse_args(["gen-data", "--kind", "pca", "--out", "x"])
+    defaults = {row.key: row.default for row in harness.CONFIG_KEYS}
+    for dest in ("n", "d", "r", "m_i", "xi", "m", "T"):
+        value, default = getattr(args, dest), defaults[f"problem.{dest}"]
+        assert value == default and type(value) is type(default), dest
 
 
 def test_workers_env_fallback(monkeypatch):

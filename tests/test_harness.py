@@ -1,10 +1,13 @@
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from decmanopt import algorithms, harness
+from decmanopt import algorithms, harness, problems
 from decmanopt.errors import ConfigError, TubeViolationError
 from decmanopt.metrics import read_trace
 from decmanopt.network import build_graph, consensus_radius_t, metropolis_weights
@@ -28,6 +31,143 @@ def small_cfg(tmp_path, **extra):
     }
     raw.update({k: str(v) for k, v in extra.items()})
     return harness.resolve_config(raw)
+
+
+# Manifest echo lines (everything before status=) written by the config
+# schema before it became one table; the table must reproduce them.
+SMALL_ECHO = """problem.kind=pca
+problem.n=4
+problem.d=6
+problem.r=2
+problem.m_i=50
+problem.xi=0.8
+problem.m=100
+problem.T=1000
+problem.seed=7
+graph.topology=ring
+graph.p=0.3
+graph.seed=0
+algo.kind=dprgt
+algo.t=1
+algo.schedule=constant
+algo.beta=0.5
+run.K=40
+run.seed=11
+run.trace_every=10
+run.init=identical
+run.delta=0.1
+metrics.agent_dist=false
+out.dir={out}
+out.points=false
+"""
+BUNDLE_ECHO = """problem.kind=bundle
+problem.n=8
+problem.d=10
+problem.r=5
+problem.m_i=1000
+problem.xi=0.8
+problem.m=100
+problem.T=1000
+problem.seed=0
+graph.topology=er
+graph.p=0.7
+graph.seed=2
+algo.kind=dprgd
+algo.t=1
+algo.schedule=constant
+algo.beta=0.3
+run.K=30
+run.seed=5
+run.trace_every=5
+run.init=identical
+run.delta=0.1
+metrics.agent_dist=true
+out.dir={out}
+out.points=false
+problem.path={bundle}
+run.eps=0.001
+"""
+
+
+def test_manifest_echo_matches_golden(tmp_path):
+    cfg = small_cfg(tmp_path)
+    harness.run_experiment(cfg)
+    manifest = (tmp_path / "out" / "manifest.txt").read_text()
+    assert manifest.split("status=")[0] == SMALL_ECHO.format(out=tmp_path / "out")
+
+    bundle = tmp_path / "bundle"
+    problem, truth = problems.gen_pca_data(4, 50, 6, 2, 0.8, seed=3)
+    problems.save_dataset(bundle, problem, truth, 3, xi=0.8)
+    out = tmp_path / "bundle_out"
+    cfg = harness.resolve_config({
+        "problem.kind": "bundle", "problem.path": str(bundle), "graph.topology": "er",
+        "graph.p": "0.7", "graph.seed": "2", "algo.kind": "dprgd", "algo.beta": "0.3",
+        "run.K": "30", "run.seed": "5", "run.eps": "1e-3", "run.trace_every": "5",
+        "metrics.agent_dist": "yes", "out.dir": str(out),
+    })
+    harness.run_experiment(cfg)
+    manifest = (out / "manifest.txt").read_text()
+    assert manifest.split("status=")[0] == BUNDLE_ECHO.format(out=out, bundle=bundle)
+
+
+_ALWAYS_REQUIRED = ("problem.kind", "graph.topology", "algo.kind", "run.K", "run.seed", "out.dir")
+_VALUES = {
+    int: st.integers(-10**9, 10**9).map(str),
+    float: st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    str: st.text("abc/_.-0123456789", min_size=1),
+}
+_BOOL_TEXT = st.sampled_from(["true", "false", "TRUE", "False", "yes", "no", "1", "0"])
+
+
+# When each conditionally required key is required, given the keys before it.
+_REQUIRED_IF = {
+    "problem.path": lambda raw: raw["problem.kind"] == "bundle",
+    "problem.seed": lambda raw: raw["problem.kind"] != "bundle",
+    "graph.seed": lambda raw: raw["graph.topology"] == "er",
+    "algo.beta": lambda raw: raw["algo.kind"] in ("dprgd", "dprgt"),
+}
+
+
+@st.composite
+def valid_raws(draw):
+    """A valid raw config and its required keys: the always-required ones,
+    the conditionally required ones whose rule applies, and a random subset
+    of the rest."""
+    raw, required = {}, []
+    for row in harness.CONFIG_KEYS:
+        if row.choices is not None:
+            values = st.sampled_from(row.choices)
+        else:
+            values = _VALUES.get(row.cast, _BOOL_TEXT)
+        if row.key in _ALWAYS_REQUIRED or _REQUIRED_IF.get(row.key, lambda raw: False)(raw):
+            required.append(row.key)
+            raw[row.key] = draw(values)
+        elif draw(st.booleans()):
+            raw[row.key] = draw(values)
+    return raw, required
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_raws())
+def test_resolve_round_trips_through_the_echo(drawn):
+    raw, required = drawn
+    cfg = harness.resolve_config(raw)
+    assert harness.resolve_config(dict(cfg.echo)) == cfg
+    # the manifest writes the echo as text, which must resolve to the same config
+    assert harness.resolve_config({k: str(v) for k, v in cfg.echo}) == cfg
+    for key in required:
+        with pytest.raises(ConfigError, match=f"missing required config key {key}"):
+            harness.resolve_config({k: v for k, v in raw.items() if k != key})
+
+
+def test_readme_lists_every_config_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    for row in harness.CONFIG_KEYS:
+        lines = [line for line in readme if f"{row.key} = " in line]
+        assert lines, f"README does not list {row.key}"
+        if isinstance(row.default, (bool, int, float, str)):
+            shown = str(row.default).lower() if isinstance(row.default, bool) else row.default
+            assert any(f"default {shown}" in line for line in lines), row.key
 
 
 def test_parse_config_text():
