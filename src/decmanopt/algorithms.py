@@ -24,9 +24,9 @@ import numpy as np
 from .errors import InvalidInputError, SingularityError, TubeViolationError
 from .metrics import (
     TraceRecord,
-    consensus_error,
     induced_mean,
     quadratic_upper_bound_probe,
+    stationarity,
     subspace_distance,
 )
 from .network import mix
@@ -198,20 +198,16 @@ def _tracking_diagnostics(system):
 
 
 def _measure(k, alpha, system, problem, truth, t_start):
-    spec = problem.spec
-    _, x_bar = induced_mean(spec, system.points)
-    ce = consensus_error(system.points, x_bar)
-    value, egrad = problem.mean_value_and_gradient(x_bar)
-    g = spec.tangent_project(x_bar, egrad)
+    st = stationarity(problem, system.points)
     dist = None
     if truth is not None and truth.x_star is not None:
-        dist = subspace_distance(x_bar, truth.x_star)
+        dist = subspace_distance(st.x_bar, truth.x_star)
     return TraceRecord(
         iter=k,
         step_size=alpha,
-        consensus_error=ce,
-        objective_at_mean=value,
-        grad_norm_sq=float(np.sum(g * g)),
+        consensus_error=st.consensus_error,
+        objective_at_mean=st.objective_at_mean,
+        grad_norm_sq=st.grad_norm_sq,
         dist_to_truth=dist,
         wall_ns=time.monotonic_ns() - t_start,
     )

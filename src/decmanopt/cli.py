@@ -19,6 +19,7 @@ import numpy as np
 
 from . import harness, manifolds, problems
 from .errors import ConfigError, FormatError, InvalidInputError, TubeViolationError
+from .metrics import fmt_float
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,16 +88,13 @@ def _build_parser():
 
 
 def _cmd_gen_data(args):
-    if args.kind == "pca":
-        problem, truth = problems.gen_pca_data(args.n, args.m_i, args.d, args.r, args.xi, args.seed)
-        problems.save_dataset(args.out, problem, truth, args.seed, xi=args.xi)
-    elif args.kind == "gevp":
-        problem, truth = problems.gen_gevp_data(args.n, args.m_i, args.d, args.r, args.xi, args.seed)
-        problems.save_dataset(args.out, problem, truth, args.seed, xi=args.xi)
-    else:
-        problem, truth = problems.gen_lrmc_data(args.n, args.m, args.T, args.r, args.seed)
+    problem, truth = harness.generate_problem(args.kind, args.seed, args.n, args.d, args.r,
+                                              args.m_i, args.xi, args.m, args.T)
+    if args.kind == "lrmc":
         nu = problems.lrmc_mask_density(args.m, args.T, args.r)
         problems.save_dataset(args.out, problem, truth, args.seed, nu=nu)
+    else:
+        problems.save_dataset(args.out, problem, truth, args.seed, xi=args.xi)
     print(f"wrote {args.kind} bundle to {args.out}", file=sys.stderr)
     return 0
 
@@ -131,8 +129,8 @@ def _cmd_rate_study(args):
     with open(rates_path, "w") as fh:
         fh.write("k,error,ratio\n")
         for k, err in enumerate(result.errors):
-            ratio = repr(float(result.ratios[k - 1])) if 1 <= k <= len(result.ratios) else ""
-            fh.write(f"{k},{repr(float(err))},{ratio}\n")
+            ratio = result.ratios[k - 1] if 1 <= k <= len(result.ratios) else None
+            fh.write(f"{k},{fmt_float(err)},{fmt_float(ratio)}\n")
     print(
         f"sigma2={result.sigma2:.6f} t={result.t} bound={result.rate_bound:.6f} "
         f"tail_rate={result.tail_rate:.6f}; rates in {rates_path}",

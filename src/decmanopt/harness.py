@@ -186,14 +186,21 @@ def load_config(path=None, overrides=()):
 # experiment assembly
 
 
+def generate_problem(kind, seed, n, d, r, m_i, xi, m, T):
+    """A seeded synthetic pca, gevp or lrmc instance and its ground truth;
+    the sizes are the ``problem.*`` config keys of the same names."""
+    if kind == "pca":
+        return problems.gen_pca_data(n, m_i, d, r, xi, seed)
+    if kind == "gevp":
+        return problems.gen_gevp_data(n, m_i, d, r, xi, seed)
+    return problems.gen_lrmc_data(n, m, T, r, seed)
+
+
 def build_problem(cfg):
-    if cfg.problem_kind == "pca":
-        return problems.gen_pca_data(cfg.n, cfg.m_i, cfg.d, cfg.r, cfg.xi, cfg.problem_seed)
-    if cfg.problem_kind == "gevp":
-        return problems.gen_gevp_data(cfg.n, cfg.m_i, cfg.d, cfg.r, cfg.xi, cfg.problem_seed)
-    if cfg.problem_kind == "lrmc":
-        return problems.gen_lrmc_data(cfg.n, cfg.m, cfg.T, cfg.r, cfg.problem_seed)
-    return problems.load_dataset(cfg.problem_path)
+    if cfg.problem_kind == "bundle":
+        return problems.load_dataset(cfg.problem_path)
+    return generate_problem(cfg.problem_kind, cfg.problem_seed,
+                            cfg.n, cfg.d, cfg.r, cfg.m_i, cfg.xi, cfg.m, cfg.T)
 
 
 def build_mixing(cfg, n):
@@ -208,11 +215,16 @@ def build_run(cfg):
     if cfg.problem_kind != "bundle" and problem.n_agents != cfg.n:
         raise ConfigError("problem.n is inconsistent with the generated problem")
     mixing = build_mixing(cfg, problem.n_agents)
+    schedule = algorithms.StepSchedule()
+    if cfg.algo_kind != "consensus":
+        if not cfg.beta > 0:
+            raise ConfigError(f"config key algo.beta: {cfg.beta!r} must be positive for {cfg.algo_kind}")
+        schedule = algorithms.StepSchedule(cfg.schedule, cfg.beta)
     system = algorithms.init_system(problem, cfg.init_mode, seed=cfg.run_seed, delta=cfg.delta)
     run_cfg = algorithms.RunConfig(
         algorithm=cfg.algo_kind,
         t=cfg.t,
-        schedule=algorithms.StepSchedule(cfg.schedule, cfg.beta) if cfg.beta > 0 else algorithms.StepSchedule(),
+        schedule=schedule,
         max_iters=cfg.max_iters,
         stop_eps=cfg.eps,
         trace_every=cfg.trace_every,
@@ -253,7 +265,7 @@ def run_experiment(cfg, no_clobber=False):
                 "abort.iteration": exc.iteration,
                 "abort.agent": "" if exc.agent is None else exc.agent,
                 "timing.wall_ns": time.monotonic_ns() - started,
-                "network.sigma2": repr(float(mixing.sigma2)),
+                "network.sigma2": metrics.fmt_float(mixing.sigma2),
             },
         )
         raise
@@ -262,16 +274,16 @@ def run_experiment(cfg, no_clobber=False):
     summary = {
         "status": trace.status,
         "final.iter": final.iter,
-        "final.consensus_error": repr(float(final.consensus_error)),
-        "final.objective_at_mean": repr(float(final.objective_at_mean)),
-        "final.grad_norm_sq": repr(float(final.grad_norm_sq)),
-        "final.dist_to_truth": "" if final.dist_to_truth is None else repr(float(final.dist_to_truth)),
+        "final.consensus_error": metrics.fmt_float(final.consensus_error),
+        "final.objective_at_mean": metrics.fmt_float(final.objective_at_mean),
+        "final.grad_norm_sq": metrics.fmt_float(final.grad_norm_sq),
+        "final.dist_to_truth": metrics.fmt_float(final.dist_to_truth),
         "timing.wall_ns": time.monotonic_ns() - started,
-        "network.sigma2": repr(float(mixing.sigma2)),
+        "network.sigma2": metrics.fmt_float(mixing.sigma2),
     }
     if cfg.agent_dist and truth is not None and truth.x_star is not None:
         dists = [metrics.subspace_distance(x, truth.x_star) for x in trace.system.points]
-        summary["final.agent_dist_mean"] = repr(float(np.mean(dists)))
+        summary["final.agent_dist_mean"] = metrics.fmt_float(np.mean(dists))
     if cfg.save_points:
         for i, x in enumerate(trace.system.points):
             problems.save_matrix(os.path.join(cfg.out_dir, f"points_{i}.csv"), x)
@@ -345,14 +357,8 @@ def write_sweep_summary(path, result):
     with open(path, "w") as fh:
         fh.write("beta,status,score,final_objective,final_grad_norm_sq,final_consensus_error\n")
         for c in result.candidates:
-            row = [
-                repr(float(c.beta)),
-                c.status,
-                repr(float(c.score)),
-                "" if c.final_objective is None else repr(float(c.final_objective)),
-                "" if c.final_grad_norm_sq is None else repr(float(c.final_grad_norm_sq)),
-                "" if c.final_consensus_error is None else repr(float(c.final_consensus_error)),
-            ]
+            floats = (c.score, c.final_objective, c.final_grad_norm_sq, c.final_consensus_error)
+            row = [metrics.fmt_float(c.beta), c.status] + [metrics.fmt_float(v) for v in floats]
             fh.write(",".join(row) + "\n")
 
 
@@ -366,9 +372,10 @@ class RateStudyResult:
 
     ``errors`` are the stacked deviations e_k = ||x_k - xbar_k||, truncated
     at the first value below 1e-13 (the numerical floor); ``ratios`` are
-    e_{k+1}/e_k within that window, each required to satisfy the
-    2 sigma2^t bound; ``tail_rate`` is a geometric fit over the tail of the
-    window, to compare against sigma2^t.
+    e_{k+1}/e_k within that window, each required to satisfy
+    ``rate_bound``, the mixing matrix's contraction rate 2 sigma2^t;
+    ``tail_rate`` is a geometric fit over the tail of the window, to compare
+    against sigma2^t.
     """
 
     errors: np.ndarray
@@ -376,10 +383,7 @@ class RateStudyResult:
     tail_rate: float
     sigma2: float
     t: int
-
-    @property
-    def rate_bound(self):
-        return 2.0 * self.sigma2**self.t
+    rate_bound: float
 
 
 ERROR_FLOOR = 1e-13
@@ -404,10 +408,11 @@ def rate_study(cfg):
     cut = np.nonzero(errors < ERROR_FLOOR)[0]
     if cut.size:
         errors = errors[: cut[0]]
+    rate = mixing.contraction_rate(cfg.t)
     if errors.size < 2:
-        return RateStudyResult(errors, np.array([]), float("nan"), mixing.sigma2, cfg.t)
+        return RateStudyResult(errors, np.array([]), float("nan"), mixing.sigma2, cfg.t, rate)
     ratios = errors[1:] / errors[:-1]
-    bound = mixing.contraction_rate(cfg.t) + 1e-6
+    bound = rate + 1e-6
     worst = float(np.max(ratios))
     if worst > bound:
         raise RuntimeError(f"contraction ratio {worst:.6g} exceeds the bound {bound:.6g}")
@@ -415,4 +420,4 @@ def rate_study(cfg):
     fit_ratios = ratios[clean] if clean.size else ratios
     tail = fit_ratios[len(fit_ratios) // 2:]
     tail_rate = float(np.exp(np.mean(np.log(tail))))
-    return RateStudyResult(errors, ratios, tail_rate, mixing.sigma2, cfg.t)
+    return RateStudyResult(errors, ratios, tail_rate, mixing.sigma2, cfg.t, rate)

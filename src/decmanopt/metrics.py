@@ -11,6 +11,7 @@ optima.
 
 import csv
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,17 +58,28 @@ def consensus_error(points, x_bar):
     return float(np.sum(dev * dev)) / points.shape[0]
 
 
-def stationarity(problem, points):
-    """The pair (consensus error, ||grad f(xbar)||^2).
+class Stationarity(NamedTuple):
+    """The induced mean xbar and the measurements taken there."""
 
-    The gradient at the mean is formed by averaging the per-agent Euclidean
-    gradients at xbar and projecting once, which equals averaging Riemannian
-    gradients at the common point.
+    x_bar: np.ndarray
+    consensus_error: float
+    objective_at_mean: float
+    grad_norm_sq: float
+
+
+def stationarity(problem, points):
+    """The stationarity pair (consensus error, ||grad f(xbar)||^2) at the
+    induced mean, together with xbar and f(xbar).
+
+    f(xbar) and its Euclidean gradient come from one data sweep; averaging
+    the per-agent Euclidean gradients at xbar and projecting once equals
+    averaging Riemannian gradients at the common point.
     """
     spec = problem.spec
     _, x_bar = induced_mean(spec, points)
-    g = spec.tangent_project(x_bar, problem.mean_gradient(x_bar))
-    return consensus_error(points, x_bar), float(np.sum(g * g))
+    value, egrad = problem.mean_value_and_gradient(x_bar)
+    g = spec.tangent_project(x_bar, egrad)
+    return Stationarity(x_bar, consensus_error(points, x_bar), value, float(np.sum(g * g)))
 
 
 def subspace_distance(x, x_star):
@@ -124,7 +136,8 @@ def quadratic_upper_bound_probe(problem, trials, seed=0):
 # trace persistence
 
 
-def _fmt(value):
+def fmt_float(value):
+    """Shortest round-trip text of a float; the empty string for None."""
     return "" if value is None else repr(float(value))
 
 
@@ -144,11 +157,11 @@ def write_trace(path, records):
             writer.writerow(
                 [
                     rec.iter,
-                    _fmt(rec.step_size),
-                    _fmt(rec.consensus_error),
-                    _fmt(rec.objective_at_mean),
-                    _fmt(rec.grad_norm_sq),
-                    _fmt(rec.dist_to_truth),
+                    fmt_float(rec.step_size),
+                    fmt_float(rec.consensus_error),
+                    fmt_float(rec.objective_at_mean),
+                    fmt_float(rec.grad_norm_sq),
+                    fmt_float(rec.dist_to_truth),
                     "",
                 ]
             )

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, InvalidInputError
+from .errors import InvalidInputError
 from .numerics import thin_svd
 
 RING = "ring"
@@ -99,21 +99,23 @@ def build_graph(topology, n, seed=0, p=None):
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """Symmetric doubly stochastic gossip weights with cached sigma2.
+    """Symmetric doubly stochastic gossip weights w.
 
     Invariants checked at construction: symmetry, rows summing to one,
-    nonnegative entries, strictly positive diagonal, eigenvalues in (-1, 1],
-    and sigma2 equal to the second-largest singular value.
+    nonnegative entries and a strictly positive diagonal, which together
+    put every eigenvalue in (-1, 1].  ``n`` and ``sigma2``, the
+    second-largest singular value of w (0 for a single agent), are derived
+    from w.
     """
 
-    n: int
     w: np.ndarray = field(repr=False)
-    sigma2: float
+    n: int = field(init=False)
+    sigma2: float = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
-        if w.shape != (self.n, self.n):
-            raise InvalidInputError(f"weight matrix must be {self.n}x{self.n}")
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise InvalidInputError(f"weight matrix must be square, got shape {w.shape}")
         if np.linalg.norm(w - w.T) > 1e-12 * max(1.0, np.linalg.norm(w)):
             raise InvalidInputError("weight matrix must be symmetric")
         if np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-12:
@@ -122,13 +124,9 @@ class MixingMatrix:
             raise InvalidInputError("weights must be nonnegative")
         if np.min(np.diag(w)) <= 0:
             raise InvalidInputError("diagonal must be strictly positive")
-        eig = np.linalg.eigvalsh(0.5 * (w + w.T))
-        if eig[0] <= -1.0 - 1e-10 or eig[-1] > 1.0 + 1e-10:
-            raise InvalidInputError("eigenvalues must lie in (-1, 1]")
-        # w is symmetric, so its singular values are the |eigenvalues|.
-        s = np.sort(np.abs(eig))
-        if abs(self.sigma2 - (s[-2] if self.n > 1 else 0.0)) > 1e-10:
-            raise InvalidInputError("sigma2 must be the second-largest singular value of w")
+        _, s, _ = thin_svd(w)
+        object.__setattr__(self, "n", w.shape[0])
+        object.__setattr__(self, "sigma2", float(s[1]) if len(s) > 1 else 0.0)
 
     def contraction_rate(self, t):
         """The linear consensus rate bound 2 sigma2^t for t gossip rounds."""
@@ -139,15 +137,14 @@ def metropolis_weights(g):
     """Metropolis constant edge weights for a connected graph.
 
     W_ij = 1 / (1 + max(deg_i, deg_j)) on edges, rows filled to one on the
-    diagonal.  sigma2 is the second-largest singular value of W.
+    diagonal.
     """
     deg = g.degrees()
     w = np.zeros((g.n, g.n))
     for i, j in sorted(g.edges):
         w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    _, s, _ = thin_svd(w)
-    return MixingMatrix(g.n, w, float(s[1]))
+    return MixingMatrix(w)
 
 
 def mix(m, xs, steps):
@@ -183,34 +180,3 @@ def consensus_radius_t(m, gamma, zeta, n):
     while m.sigma2**t >= bound:
         t += 1
     return t
-
-
-def save_graph(path, g):
-    """Write the edge-list text format: first line n, then one 'i j' per line."""
-    lines = [str(g.n)]
-    lines += [f"{i} {j}" for i, j in sorted(g.edges)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_graph(path):
-    with open(path) as fh:
-        raw = [line.strip() for line in fh]
-    rows = [line for line in raw if line]
-    if not rows:
-        raise FormatError(f"{path}: empty graph file")
-    try:
-        n = int(rows[0])
-    except ValueError as exc:
-        raise FormatError(f"{path}:1: expected the agent count, got {rows[0]!r}") from exc
-    edges = set()
-    for lineno, line in enumerate(rows[1:], start=2):
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"{path}:{lineno}: expected 'i j', got {line!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: non-integer vertex in {line!r}") from exc
-        edges.add((i, j))
-    return Graph(n, frozenset(edges))

@@ -18,7 +18,6 @@ desk experiments can be regenerated or shipped.
 
 import json
 import os
-import struct
 
 import numpy as np
 
@@ -329,86 +328,41 @@ def gen_lrmc_data(n, m, t, r, seed):
 
 
 # ---------------------------------------------------------------------------
-# matrix files and dataset bundles
-
-_RAW_MAGIC = b"DMAT"
+# CSV matrix files and dataset bundles
 
 
-def save_matrix(path, a, fmt="csv"):
-    """Write a dense matrix as header-less CSV or as raw binary.
-
-    CSV uses shortest round-trip float formatting; raw binary stores the
-    magic, uint64 row/column counts, and float64 row-major payload, all
-    little endian.  Both round-trip bitwise through :func:`load_matrix`.
-    """
+def save_matrix(path, a):
+    """Write a dense matrix as header-less CSV with shortest round-trip
+    float formatting, so it reads back bitwise through :func:`load_matrix`."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if fmt == "csv":
-        with open(path, "w") as fh:
-            for row in a:
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
-    elif fmt == "raw":
-        with open(path, "wb") as fh:
-            fh.write(_RAW_MAGIC)
-            fh.write(struct.pack("<QQ", a.shape[0], a.shape[1]))
-            fh.write(a.astype("<f8").tobytes(order="C"))
-    else:
-        raise InvalidInputError(f"unknown matrix format {fmt!r}")
+    with open(path, "w") as fh:
+        for row in a:
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def load_matrix(path, fmt="csv", scale=None):
-    """Read a dense matrix; optional elementwise division by ``scale``.
+def load_matrix(path):
+    """Read a dense CSV matrix.
 
-    CSV parse failures report the offending line number; ragged rows are
+    Parse failures report the offending line number; ragged rows are
     rejected.
     """
-    if fmt == "csv":
-        rows = []
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rows.append([float(tok) for tok in line.split(",")])
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{lineno}: unparseable entry in {line!r}") from exc
-                if len(rows[-1]) != len(rows[0]):
-                    raise FormatError(
-                        f"{path}:{lineno}: row has {len(rows[-1])} entries, expected {len(rows[0])}"
-                    )
-        if not rows:
-            raise FormatError(f"{path}: no rows")
-        a = np.array(rows, dtype=float)
-    elif fmt == "raw":
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if blob[:4] != _RAW_MAGIC or len(blob) < 20:
-            raise FormatError(f"{path}: not a raw matrix file")
-        nrows, ncols = struct.unpack("<QQ", blob[4:20])
-        payload = np.frombuffer(blob[20:], dtype="<f8")
-        if payload.size != nrows * ncols:
-            raise FormatError(f"{path}: payload size does not match {nrows}x{ncols}")
-        a = payload.reshape(nrows, ncols).astype(float)
-    else:
-        raise InvalidInputError(f"unknown matrix format {fmt!r}")
-    if scale is not None:
-        a = a / scale
-    return a
-
-
-def split_rows(a, n):
-    """Contiguous even row split into n blocks (e.g. for a loaded data matrix)."""
-    if a.shape[0] % n != 0:
-        raise InvalidInputError(f"{a.shape[0]} rows do not split evenly into {n} agents")
-    block = a.shape[0] // n
-    return [a[i * block:(i + 1) * block] for i in range(n)]
-
-
-def pca_from_matrix(a, n, r, scale=None):
-    """PCA problem over n agents from a generic data matrix (rows = samples)."""
-    if scale is not None:
-        a = a / scale
-    return PcaProblem(split_rows(a, n), manifolds.stiefel(a.shape[1], r))
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rows.append([float(tok) for tok in line.split(",")])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: unparseable entry in {line!r}") from exc
+            if len(rows[-1]) != len(rows[0]):
+                raise FormatError(
+                    f"{path}:{lineno}: row has {len(rows[-1])} entries, expected {len(rows[0])}"
+                )
+    if not rows:
+        raise FormatError(f"{path}: no rows")
+    return np.array(rows, dtype=float)
 
 
 def _mask_to_indices(mask):

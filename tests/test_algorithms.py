@@ -21,7 +21,7 @@ from decmanopt.problems import GevpProblem, PcaProblem, gen_gevp_data, gen_pca_d
 
 
 def single_agent_mixing():
-    return MixingMatrix(1, np.array([[1.0]]), 0.0)
+    return MixingMatrix(np.array([[1.0]]))
 
 
 def test_step_schedule():
@@ -235,8 +235,7 @@ def test_run_tube_violation_mid_run_carries_context():
     spec = manifolds.stiefel(2, 1)
     problem = PcaProblem([np.eye(2)] * 3, spec)
     w = np.array([[0.5, 0.5, 0.0], [0.5, 0.25, 0.25], [0.0, 0.25, 0.75]])
-    sigma2 = float(np.linalg.svd(w, compute_uv=False)[1])
-    m = MixingMatrix(3, w, sigma2)
+    m = MixingMatrix(w)
     points = np.array([[[1.0], [0.0]], [[-1.0], [0.0]], [[0.0], [1.0]]])
     with pytest.raises(TubeViolationError) as info:
         run(RunConfig(algorithm="consensus", max_iters=5), problem, m, AgentSystem(points))
@@ -253,7 +252,7 @@ def test_run_b_stiefel_tube_violation_names_agent():
     spec = manifolds.generalized_stiefel(2, 1, np.diag([1.0, 4.0]))
     problem = GevpProblem([np.eye(2)] * 3, spec)
     w = np.array([[0.75, 0.25, 0.0], [0.25, 0.25, 0.5], [0.0, 0.5, 0.5]])
-    m = MixingMatrix(3, w, float(np.linalg.svd(w, compute_uv=False)[1]))
+    m = MixingMatrix(w)
     points = np.array([[[0.0], [0.5]], [[1.0], [0.0]], [[-1.0], [0.0]]])
     with pytest.raises(TubeViolationError) as info:
         run(RunConfig(algorithm="consensus", max_iters=5), problem, m, AgentSystem(points))

@@ -62,6 +62,13 @@ def test_run_missing_config_names_path(tmp_path, capsys):
     assert "missing.cfg" in capsys.readouterr().err
 
 
+def test_run_nonpositive_beta_exits_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, **{"algo.beta": "-0.5"})
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "algo.beta" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
 def test_run_workers_flag_does_not_change_trace(tmp_path):
     cfg = write_cfg(tmp_path)
     assert main(["run", "--config", str(cfg), "--workers", "1"]) == 0

@@ -189,6 +189,23 @@ def test_overrides_and_unknown_keys(tmp_path):
         harness.apply_overrides(raw, ["novalue"])
 
 
+@pytest.mark.parametrize("algo", ["dprgd", "dprgt"])
+@pytest.mark.parametrize("beta", ["0", "-0.5"])
+def test_build_run_rejects_nonpositive_beta(tmp_path, algo, beta):
+    cfg = small_cfg(tmp_path, **{"algo.kind": algo, "algo.beta": beta,
+                                 "algo.schedule": "diminishing"})
+    with pytest.raises(ConfigError, match="algo.beta"):
+        harness.build_run(cfg)
+
+
+def test_build_run_keeps_the_configured_schedule(tmp_path):
+    run_cfg = harness.build_run(small_cfg(tmp_path, **{"algo.schedule": "diminishing"}))[4]
+    assert run_cfg.schedule == algorithms.StepSchedule("diminishing", 0.5)
+    for extra in ({}, {"algo.beta": "0"}):
+        consensus = small_cfg(tmp_path, **{"algo.kind": "consensus", **extra})
+        assert harness.build_run(consensus)[4].schedule == algorithms.StepSchedule()
+
+
 def test_missing_required_key_named():
     base = {"problem.kind": "pca", "problem.seed": "1", "graph.topology": "ring",
             "algo.kind": "consensus", "run.K": "1", "run.seed": "1", "out.dir": "x"}

@@ -53,23 +53,21 @@ def test_induced_mean_quadratic_gap_order():
 def test_stationarity_at_pca_optimum():
     problem, truth = gen_pca_data(4, 200, 8, 3, 0.8, seed=3)
     points = np.tile(truth.x_star, (4, 1, 1))
-    ce, gns = stationarity(problem, points)
-    assert ce < 1e-10
-    assert gns < 1e-10
+    st = stationarity(problem, points)
+    assert st.consensus_error < 1e-10
+    assert st.grad_norm_sq < 1e-10
 
 
 def test_stationarity_identical_agents_zero_consensus():
     problem, _ = gen_pca_data(4, 50, 6, 2, 0.8, seed=4)
     x = problem.spec.random_point(np.random.default_rng(5))
-    ce, _ = stationarity(problem, np.tile(x, (4, 1, 1)))
-    assert ce <= 1e-25
+    assert stationarity(problem, np.tile(x, (4, 1, 1))).consensus_error <= 1e-25
 
 
 def test_stationarity_single_agent():
     problem, _ = gen_pca_data(1, 50, 6, 2, 0.8, seed=6)
     x = problem.spec.random_point(np.random.default_rng(7))
-    ce, _ = stationarity(problem, x[None])
-    assert ce <= 1e-28
+    assert stationarity(problem, x[None]).consensus_error <= 1e-28
 
 
 def test_subspace_distance_identical():

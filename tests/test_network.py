@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from decmanopt.errors import FormatError, InvalidInputError
+from decmanopt.errors import InvalidInputError
 from decmanopt.network import (
     Graph,
     MixingMatrix,
     build_graph,
     consensus_radius_t,
-    load_graph,
     metropolis_weights,
     mix,
-    save_graph,
 )
 
 
@@ -83,16 +84,40 @@ def test_metropolis_invariants_random_er_graphs():
 def test_mixing_matrix_invariant_rejection():
     bad = np.array([[0.5, 0.5], [0.4, 0.6]])  # asymmetric
     with pytest.raises(InvalidInputError):
-        MixingMatrix(2, bad, 0.1)
+        MixingMatrix(bad)
     with pytest.raises(InvalidInputError):
-        MixingMatrix(2, np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)  # zero diagonal
+        MixingMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))  # zero diagonal
+    with pytest.raises(InvalidInputError):
+        MixingMatrix(np.full((2, 3), 1.0 / 3.0))  # not square
 
 
-def test_mixing_matrix_rejects_wrong_sigma2():
+def test_mixing_matrix_derives_n_and_sigma2():
     w = np.array([[0.75, 0.25], [0.25, 0.75]])  # singular values 1 and 1/2
-    assert MixingMatrix(2, w, 0.5).sigma2 == 0.5
-    with pytest.raises(InvalidInputError, match="sigma2"):
-        MixingMatrix(2, w, 0.5 + 1e-9)
+    m = MixingMatrix(w)
+    assert m.n == 2 and abs(m.sigma2 - 0.5) <= 1e-15
+    assert MixingMatrix(np.array([[1.0]])).sigma2 == 0.0  # a single agent
+    with pytest.raises(TypeError):
+        MixingMatrix(w, sigma2=0.5)  # derived, so not settable
+
+
+_GRAPHS = st.builds(
+    build_graph,
+    st.sampled_from(["ring", "complete", "er"]),
+    st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.floats(0.0, 1.0, exclude_min=True),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_GRAPHS, st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_derived_mixing_matrix_properties(g, t, seed):
+    m = metropolis_weights(g)
+    assert abs(m.sigma2 - scipy.linalg.svdvals(m.w)[1]) <= 1e-12
+    x = np.random.default_rng(seed).standard_normal((g.n, 4, 2))
+    y = mix(m, x, t)
+    scale = max(1.0, float(np.max(np.abs(x))))
+    assert np.max(np.abs(y.mean(axis=0) - x.mean(axis=0))) <= 1e-12 * scale
 
 
 def test_mix_consensus_fixed_point():
@@ -138,11 +163,14 @@ def test_mix_block_count_mismatch():
 
 
 def test_consensus_radius_strict_inequality():
-    w = np.array([[0.75, 0.25], [0.25, 0.75]])  # eigenvalues 1 and 1/2
-    m = MixingMatrix(2, w, 0.5)
+    # Eigenvalues 1 and 1/2 (three times); its SVD gives sigma2 = 1/2 exactly,
+    # so sigma2^1 sits on the bound 1/2 and must not be accepted.
+    w = np.full((4, 4), 0.125) + 0.5 * np.eye(4)
+    m = MixingMatrix(w)
+    assert m.sigma2 == 0.5
     zeta = 1.0
-    gamma = 24.0 * math.sqrt(2.0) * zeta * 0.6  # ratio 0.6 >= 1/2
-    assert consensus_radius_t(m, gamma, zeta, 2) == 2
+    gamma = 24.0 * math.sqrt(4.0) * zeta * 0.6  # ratio 0.6 >= 1/2
+    assert consensus_radius_t(m, gamma, zeta, 4) == 2
 
 
 def test_consensus_radius_vanishing_sigma2():
@@ -161,21 +189,3 @@ def test_consensus_radius_ring_cross_check():
         t_oracle += 1
     assert t == t_oracle == 30
     assert m.sigma2**t < min(a, 0.5) <= m.sigma2 ** (t - 1)
-
-
-def test_graph_edge_list_round_trip(tmp_path):
-    g = build_graph("er", 10, seed=4, p=0.4)
-    path = tmp_path / "graph.txt"
-    save_graph(path, g)
-    g2 = load_graph(path)
-    assert g2.n == g.n and g2.edges == g.edges
-
-
-def test_graph_load_errors(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("3\n0 1 2\n")
-    with pytest.raises(FormatError):
-        load_graph(path)
-    path.write_text("")
-    with pytest.raises(FormatError):
-        load_graph(path)

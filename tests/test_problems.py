@@ -16,10 +16,8 @@ from decmanopt.problems import (
     load_dataset,
     load_matrix,
     lrmc_mask_density,
-    pca_from_matrix,
     save_dataset,
     save_matrix,
-    split_rows,
 )
 
 
@@ -309,20 +307,12 @@ def test_load_matrix_csv_basic(tmp_path):
     assert np.array_equal(load_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
 
 
-def test_load_matrix_scale(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("255,510\n")
-    assert np.array_equal(load_matrix(path, scale=255.0), [[1.0, 2.0]])
-
-
 def test_matrix_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(20)
     a = rng.standard_normal((7, 4))
-    for fmt in ("csv", "raw"):
-        path = tmp_path / f"m.{fmt}"
-        save_matrix(path, a, fmt=fmt)
-        b = load_matrix(path, fmt=fmt)
-        assert a.tobytes() == b.tobytes()
+    path = tmp_path / "m.csv"
+    save_matrix(path, a)
+    assert a.tobytes() == load_matrix(path).tobytes()
 
 
 def test_load_matrix_errors(tmp_path):
@@ -336,17 +326,6 @@ def test_load_matrix_errors(tmp_path):
     with pytest.raises(FormatError) as info:
         load_matrix(bad)
     assert ":1:" in str(info.value)
-
-
-def test_split_rows_and_pca_from_matrix():
-    rng = np.random.default_rng(21)
-    a = rng.standard_normal((40, 6))
-    blocks = split_rows(a, 4)
-    assert len(blocks) == 4 and all(b.shape == (10, 6) for b in blocks)
-    with pytest.raises(InvalidInputError):
-        split_rows(a, 7)
-    p = pca_from_matrix(a, 4, 2, scale=2.0)
-    assert np.allclose(p.agents[0], a[:10] / 2.0)
 
 
 @pytest.mark.parametrize("kind", ["pca", "gevp", "lrmc"])
