@@ -1,10 +1,11 @@
 """Decentralized smallest generalized eigenpairs on the B-Stiefel manifold.
 
-The constraint x'Bx = I is handled by the B-polar projection and a small
-Lyapunov solve for the Euclidean-metric tangent projection.  Gradient
-tracking recovers the bottom generalized eigenspace of (sum A_i'A_i, B)
-to machine precision; the dense generalized eigensolve is printed as the
-reference.
+The constraint x'Bx = I is handled in the B-metric tr(u'Bv): the B-polar
+projection is the nearest point in that metric, the tangent projection is
+u - x sym(x'Bu), and the Riemannian gradient is the tangent projection of
+B^(-1) times the Euclidean gradient.  Gradient tracking recovers the
+bottom generalized eigenspace of (sum A_i'A_i, B) to machine precision;
+the dense generalized eigensolve is printed as the reference.
 """
 
 import numpy as np

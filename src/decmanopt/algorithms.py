@@ -113,7 +113,7 @@ def init_system(problem, mode=INIT_IDENTICAL, seed=0, delta=0.0):
     consensus error starts at exactly zero.  ``perturbed`` moves each copy
     along a random tangent direction of norm ``delta`` and reprojects; if
     the spread exceeds gamma/2 around the induced mean, delta is halved
-    until it fits.
+    until it fits.  Norms are the manifold's metric norms.
     """
     if delta < 0:
         raise InvalidInputError("delta must be nonnegative")
@@ -129,7 +129,7 @@ def init_system(problem, mode=INIT_IDENTICAL, seed=0, delta=0.0):
     while True:
         points = spec.project_stack(x0 + delta * dirs)
         _, x_bar = induced_mean(spec, points)
-        if np.max(np.linalg.norm(points - x_bar, axis=(1, 2))) <= 0.5 * spec.gamma:
+        if np.max(spec.norm(points - x_bar)) <= 0.5 * spec.gamma:
             return AgentSystem(points)
         delta *= 0.5
 
@@ -143,7 +143,7 @@ def consensus_step(system, mixing, t, problem):
 def dprgd_step(system, mixing, t, problem, alpha):
     """x_i <- P(mix(x)_i - alpha grad f_i(x_i))."""
     spec = problem.spec
-    rgrads = spec.tangent_project_stack(system.points, problem.local_grads(system.points))
+    rgrads = spec.riemannian_gradient(system.points, problem.local_grads(system.points))
     mixed = mix(mixing, system.points, t)
     return AgentSystem(spec.project_stack(mixed - alpha * rgrads))
 
@@ -151,7 +151,7 @@ def dprgd_step(system, mixing, t, problem, alpha):
 def init_tracker(system, problem):
     """Set s_i = grad f_i(x_i); the gradients are cached for the next update."""
     spec = problem.spec
-    grads = spec.tangent_project_stack(system.points, problem.local_grads(system.points))
+    grads = spec.riemannian_gradient(system.points, problem.local_grads(system.points))
     return replace(system, tracker=grads.copy(), last_grads=grads)
 
 
@@ -167,7 +167,7 @@ def dprgt_step(system, mixing, t, problem, alpha):
     v = spec.tangent_project_stack(system.points, system.tracker)
     mixed = mix(mixing, system.points, t)
     new_points = spec.project_stack(mixed - alpha * v)
-    new_grads = spec.tangent_project_stack(new_points, problem.local_grads(new_points))
+    new_grads = spec.riemannian_gradient(new_points, problem.local_grads(new_points))
     new_tracker = mix(mixing, system.tracker, t) + new_grads - system.last_grads
     return AgentSystem(new_points, new_tracker, new_grads)
 

@@ -6,19 +6,22 @@ by the consensus theory.  Points and tangent vectors are plain ndarrays;
 feasibility and tangency are checked through residual helpers instead of
 wrapper types.
 
-Projections:
+Each manifold carries one metric, used for every norm, inner product,
+tangent projection and gradient: the Frobenius metric on Stiefel, and the
+B-metric <u, v>_B = tr(u'Bv) on generalized Stiefel.
 
-* Stiefel: the polar factor u @ v.T of the thin SVD, which is the exact
-  nearest point in Frobenius norm.
-* generalized Stiefel: the B-polar map y @ (y'By)^(-1/2).  This is a
-  retraction-style projection, not the Euclidean nearest point; it is the
-  standard choice for B-orthonormality constraints and is documented as
-  such wherever it matters.
+* Stiefel: the projection is the polar factor u @ v.T of the thin SVD, the
+  nearest point in Frobenius norm; the tangent projection is
+  u - x sym(x'u).
+* generalized Stiefel: the projection is the B-polar map
+  y @ (y'By)^(-1/2) = B^(-1/2) polar(B^(1/2) y), the nearest point in the
+  B-norm; the tangent projection is u - x sym(x'Bu), orthogonal in the
+  B-metric.  x -> B^(1/2) x is an isometry onto Stiefel in that metric, so
+  the Stiefel theory, and its gamma = 0.5, carry over.
 
-The tangent projection always uses the Euclidean metric.  On the
-generalized Stiefel manifold that requires solving the small symmetric
-equation M S + S M = 2 sym(x'Bu) with M = x'B^2x, handled by
-:func:`decmanopt.numerics.lyapunov_solve`.
+The Riemannian gradient of f is the tangent projection of the metric's
+gradient: of the Euclidean gradient on Stiefel, of B^(-1) times it on
+generalized Stiefel.
 
 Both maps take one d-by-r matrix or an (n, d, r) stack with the agent
 index first; a stack is handled by one batched call of the numerics
@@ -34,8 +37,8 @@ import numpy as np
 from .errors import InvalidInputError, SingularityError
 from .numerics import (
     RANK_RTOL,
-    lyapunov_solve,
     reject_blocks,
+    require_finite,
     spd_inverse_sqrt,
     sym,
     sym_eig,
@@ -53,10 +56,10 @@ FEAS_TOL = 1e-8
 class ManifoldSpec:
     """A Stiefel or generalized Stiefel manifold of d-by-r matrices.
 
-    ``gamma`` parameterizes the proximal-smoothness radius (the manifold is
-    treated as 2*gamma-proximally smooth).  For the Stiefel manifold the
-    certified value is gamma = 0.5; for the generalized Stiefel manifold it
-    is a configuration input with no correctness claim.
+    ``gamma`` parameterizes the proximal-smoothness radius in the
+    manifold's metric (the manifold is treated as 2*gamma-proximally
+    smooth).  The certified value is gamma = 0.5 on both manifolds, since
+    generalized Stiefel in the B-metric is an isometric copy of Stiefel.
     """
 
     kind: str
@@ -64,6 +67,7 @@ class ManifoldSpec:
     r: int
     b: np.ndarray | None = field(default=None, repr=False)
     gamma: float = 0.5
+    b_inv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (STIEFEL, GENERALIZED_STIEFEL):
@@ -78,10 +82,11 @@ class ManifoldSpec:
             b = np.asarray(self.b, dtype=float)
             if b.shape != (self.d, self.d):
                 raise InvalidInputError(f"b must be {self.d}x{self.d}, got {b.shape}")
-            w, _ = sym_eig(b)
+            w, v = sym_eig(b)
             if w[0] <= RANK_RTOL * w[-1] or w[-1] <= 0:
                 raise InvalidInputError("b must be symmetric positive definite")
             object.__setattr__(self, "b", 0.5 * (b + b.T))
+            object.__setattr__(self, "b_inv", (v / w) @ v.T)
         elif self.b is not None:
             raise InvalidInputError("b is only meaningful for the generalized Stiefel manifold")
 
@@ -97,8 +102,22 @@ class ManifoldSpec:
         """Frobenius distance of the constraint Gram matrix from the identity."""
         return np.linalg.norm(self.gram(x) - np.eye(self.r), axis=(-2, -1))
 
-    def is_feasible(self, x, tol=FEAS_TOL):
-        return bool(np.all(self.feasibility_residual(x) <= tol))
+    # -- metric ------------------------------------------------------------
+
+    def inner(self, u, v):
+        """<u, v> summed over every entry (and every block of a stack):
+        sum(u * v) on Stiefel, tr(u'Bv) on generalized Stiefel."""
+        if self.kind == STIEFEL:
+            return float(np.sum(u * v))
+        return float(np.sum(u * (self.b @ v)))
+
+    def norm(self, u):
+        """The metric norm of a matrix, or of each block of a stack."""
+        if self.kind == STIEFEL:
+            # One matrix takes numpy's dot-product path, a stack the
+            # reduction path; each is what Stiefel runs have always used.
+            return np.linalg.norm(u, axis=(-2, -1) if np.ndim(u) == 3 else None)
+        return np.sqrt(np.sum(u * (self.b @ u), axis=(-2, -1)))
 
     # -- projections -------------------------------------------------------
 
@@ -118,19 +137,27 @@ class ManifoldSpec:
         return y @ spd_inverse_sqrt(self.gram(y))
 
     def tangent_project(self, x, u):
-        """Euclidean-orthogonal projection of u onto the tangent space at x,
-        or blockwise for stacks x and u."""
+        """Metric-orthogonal projection of u onto the tangent space at x, or
+        blockwise for stacks x and u."""
         xt = np.swapaxes(x, -1, -2)
         if self.kind == STIEFEL:
             return u - x @ sym(xt @ u)
-        bx = self.b @ x
-        s = lyapunov_solve(np.swapaxes(bx, -1, -2) @ bx, sym(xt @ (self.b @ u)))
-        return u - bx @ s
+        return u - x @ sym(xt @ (self.b @ u))
 
     # The iteration loop calls the maps on agent stacks by these names, which
     # keeps their time apart from the single-matrix calls in per-layer traces.
     project_stack = project
     tangent_project_stack = tangent_project
+
+    def riemannian_gradient(self, x, egrad):
+        """The Riemannian gradient at x (or at each block of a stack) of a
+        function with Euclidean gradient ``egrad``, which must be finite."""
+        egrad = require_finite(egrad)
+        if self.kind == GENERALIZED_STIEFEL:
+            egrad = self.b_inv @ egrad
+        if np.ndim(x) == 3:  # an agent stack, traced under the stack name
+            return self.tangent_project_stack(x, egrad)
+        return self.tangent_project(x, egrad)
 
     # -- sampling ----------------------------------------------------------
 
@@ -138,10 +165,11 @@ class ManifoldSpec:
         return self.project(rng.standard_normal((self.d, self.r)))
 
     def random_tangent(self, x, rng, norm=None):
-        """A random tangent vector at x, optionally rescaled to a given norm."""
+        """A random tangent vector at x, optionally rescaled to a given
+        metric norm."""
         v = self.tangent_project(x, rng.standard_normal((self.d, self.r)))
         if norm is not None:
-            nv = np.linalg.norm(v)
+            nv = self.norm(v)
             if nv > 0:
                 v = v * (norm / nv)
         return v
@@ -152,16 +180,10 @@ def stiefel(d, r, gamma=0.5):
     return ManifoldSpec(STIEFEL, d, r, gamma=gamma)
 
 
-def generalized_stiefel(d, r, b, gamma=None):
-    """The generalized Stiefel manifold {x : x'Bx = I_r} for SPD B.
-
-    Without an explicit gamma, defaults to 0.5 / lambda_max(B), scaling the
-    Stiefel value by the constraint matrix; no proximal-smoothness radius is
-    certified for this manifold.
+def generalized_stiefel(d, r, b, gamma=0.5):
+    """The generalized Stiefel manifold {x : x'Bx = I_r} for SPD B, with the
+    B-metric.  gamma = 0.5 is certified in the B-norm, as on Stiefel.
     """
-    if gamma is None:
-        w, _ = sym_eig(np.asarray(b, dtype=float))
-        gamma = 0.5 / w[-1]
     return ManifoldSpec(GENERALIZED_STIEFEL, d, r, b=np.asarray(b, dtype=float), gamma=gamma)
 
 
@@ -178,9 +200,9 @@ class ProjectionProbeReport:
 def check_projection_lipschitz(spec, trials, noise_scale=None, seed=0):
     """Probe the two projection inequalities with random perturbations.
 
-    Samples a feasible x and ambient perturbations u, u' with norms at most
-    ``noise_scale`` (default: spec.gamma, the largest radius for which the
-    2-Lipschitz bound is claimed), and records
+    Samples a feasible x and ambient perturbations u, u' with metric norms
+    at most ``noise_scale`` (default: spec.gamma, the largest radius for
+    which the 2-Lipschitz bound is claimed), and records, in the metric,
 
     * max ||P(x+u) - P(x+u')|| / ||u - u'||   (Lipschitz ratio), and
     * max ||P(x+u) - x - P_T(u)|| / ||u||^2   (quadratic ratio).
@@ -202,18 +224,18 @@ def check_projection_lipschitz(spec, trials, noise_scale=None, seed=0):
             x = spec.random_point(rng)
             u = rng.standard_normal((spec.d, spec.r))
             up = rng.standard_normal((spec.d, spec.r))
-            u *= rng.uniform(0.0, noise_scale) / max(np.linalg.norm(u), 1e-300)
-            up *= rng.uniform(0.0, noise_scale) / max(np.linalg.norm(up), 1e-300)
+            u *= rng.uniform(0.0, noise_scale) / max(spec.norm(u), 1e-300)
+            up *= rng.uniform(0.0, noise_scale) / max(spec.norm(up), 1e-300)
             pu = spec.project(x + u)
             pup = spec.project(x + up)
         except SingularityError:
             skipped += 1
             continue
-        du = np.linalg.norm(u - up)
+        du = spec.norm(u - up)
         if du > 1e-12:
-            max_lip = max(max_lip, np.linalg.norm(pu - pup) / du)
-        nu = np.linalg.norm(u)
+            max_lip = max(max_lip, spec.norm(pu - pup) / du)
+        nu = spec.norm(u)
         if nu > 1e-12:
-            quad = np.linalg.norm(pu - x - spec.tangent_project(x, u)) / nu**2
+            quad = spec.norm(pu - x - spec.tangent_project(x, u)) / nu**2
             max_quad = max(max_quad, quad)
     return ProjectionProbeReport(max_lip, max_quad, trials, skipped)

@@ -2,7 +2,8 @@
 
 The induced mean of agents x_1..x_n is the projection of their Euclidean
 average onto the manifold; the stationarity pair is the consensus error
-(1/n) sum ||x_i - xbar||^2 together with ||grad f(xbar)||^2.  The
+(1/n) sum ||x_i - xbar||^2 together with ||grad f(xbar)||^2, both in the
+manifold's metric (the B-norm on generalized Stiefel).  The
 subspace distance d_s is the orthogonal-Procrustes-aligned Frobenius
 distance (alignment over the full orthogonal group, reflections
 included), which is invariant to the right-orthogonal gauge of frame
@@ -52,10 +53,12 @@ def induced_mean(spec, points):
     return x_hat, spec.project(x_hat)
 
 
-def consensus_error(points, x_bar):
-    """(1/n) sum_i ||x_i - xbar||^2."""
+def consensus_error(points, x_bar, spec=None):
+    """(1/n) sum_i ||x_i - xbar||^2 in the metric of ``spec``, or in the
+    Frobenius norm without one."""
     dev = points - x_bar
-    return float(np.sum(dev * dev)) / points.shape[0]
+    sq = float(np.sum(dev * dev)) if spec is None else spec.inner(dev, dev)
+    return sq / points.shape[0]
 
 
 class Stationarity(NamedTuple):
@@ -72,14 +75,14 @@ def stationarity(problem, points):
     induced mean, together with xbar and f(xbar).
 
     f(xbar) and its Euclidean gradient come from one data sweep; averaging
-    the per-agent Euclidean gradients at xbar and projecting once equals
+    the per-agent Euclidean gradients at xbar and mapping once equals
     averaging Riemannian gradients at the common point.
     """
     spec = problem.spec
     _, x_bar = induced_mean(spec, points)
     value, egrad = problem.mean_value_and_gradient(x_bar)
-    g = spec.tangent_project(x_bar, egrad)
-    return Stationarity(x_bar, consensus_error(points, x_bar), value, float(np.sum(g * g)))
+    g = spec.riemannian_gradient(x_bar, egrad)
+    return Stationarity(x_bar, consensus_error(points, x_bar, spec), value, spec.inner(g, g))
 
 
 def subspace_distance(x, x_star):
@@ -99,7 +102,8 @@ class CurvatureProbeReport:
 
     ``quad_bound`` is the smallest constant making the Riemannian quadratic
     upper bound hold across the samples; ``grad_lip`` the largest observed
-    ratio ||grad f_i(x) - grad f_i(y)|| / ||x - y||.
+    ratio ||grad f_i(x) - grad f_i(y)|| / ||x - y||.  Norms and inner
+    products are the manifold's.
     """
 
     quad_bound: float
@@ -121,14 +125,14 @@ def quadratic_upper_bound_probe(problem, trials, seed=0):
         x = spec.random_point(rng)
         y = spec.random_point(rng)
         diff = y - x
-        nd2 = float(np.sum(diff * diff))
+        nd2 = spec.inner(diff, diff)
         if nd2 < 1e-24:
             continue
-        gx = spec.tangent_project(x, problem.local_grad(i, x))
-        gy = spec.tangent_project(y, problem.local_grad(i, y))
-        gap = problem.local_value(i, y) - problem.local_value(i, x) - float(np.sum(gx * diff))
+        gx = spec.riemannian_gradient(x, problem.local_grad(i, x))
+        gy = spec.riemannian_gradient(y, problem.local_grad(i, y))
+        gap = problem.local_value(i, y) - problem.local_value(i, x) - spec.inner(gx, diff)
         quad = max(quad, 2.0 * gap / nd2)
-        lip = max(lip, float(np.linalg.norm(gy - gx)) / np.sqrt(nd2))
+        lip = max(lip, float(spec.norm(gy - gx)) / np.sqrt(nd2))
     return CurvatureProbeReport(quad, lip, trials)
 
 

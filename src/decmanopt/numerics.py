@@ -1,9 +1,9 @@
 """Dense linear-algebra kernels used by every other module.
 
 Thin wrappers around LAPACK (via numpy) that pin down conventions and
-tolerances: thin SVD, symmetric eigendecomposition, SPD inverse square
-root, and a small symmetric Lyapunov-type solver.  All functions are pure
-and deterministic: identical input bits give identical output bits.
+tolerances: thin SVD, symmetric eigendecomposition and SPD inverse square
+root.  All functions are pure and deterministic: identical input bits give
+identical output bits.
 
 Every kernel takes one matrix or a stack of them with the block index
 first, shape (n, p, q) for :func:`thin_svd` and (n, r, r) for the others.
@@ -50,11 +50,13 @@ def reject_blocks(error, bad, message):
     raise err
 
 
-def _require_finite(m, name="matrix"):
+def require_finite(m):
+    """``m`` as a float array; rejects NaN or Inf, naming the first bad
+    block of a stack."""
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         bad = ~np.isfinite(m).all(axis=(-2, -1)) if m.ndim == 3 else True
-        reject_blocks(InvalidInputError, bad, f"{name} contains NaN or Inf")
+        reject_blocks(InvalidInputError, bad, "matrix contains NaN or Inf")
     return m
 
 
@@ -66,7 +68,7 @@ def thin_svd(m):
     in descending order, and v of shape (..., q, q), such that
     u @ diag(s) @ v.T reconstructs the input.
     """
-    m = _require_finite(m)
+    m = require_finite(m)
     if m.ndim not in (2, 3) or m.shape[-2] < m.shape[-1]:
         raise InvalidInputError(f"thin_svd expects p >= q, got shape {m.shape}")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
@@ -80,7 +82,7 @@ def sym_eig(m):
     columns v.  The input is symmetrized internally; asymmetry beyond
     ``SYM_RTOL`` relative to a block's norm is rejected.
     """
-    m = _require_finite(m)
+    m = require_finite(m)
     if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
         raise InvalidInputError(f"sym_eig expects square matrices, got shape {m.shape}")
     # Squared Frobenius norms per block: ||m - m'||^2 > SYM_RTOL^2 ||m||^2.
@@ -92,30 +94,11 @@ def sym_eig(m):
     return np.linalg.eigh(sym(m))
 
 
-def _spd_eig(m, message):
-    w, v = sym_eig(m)
-    reject_blocks(SingularityError, (w[..., -1] <= 0) | (w[..., 0] <= RANK_RTOL * w[..., -1]),
-                  message)
-    return w, v
-
-
 def spd_inverse_sqrt(m):
     """Inverse square root R of an SPD matrix, satisfying R @ m @ R = I,
     or of each block of a stack."""
-    w, v = _spd_eig(m, "matrix is not positive definite within tolerance")
+    w, v = sym_eig(m)
+    reject_blocks(SingularityError, (w[..., -1] <= 0) | (w[..., 0] <= RANK_RTOL * w[..., -1]),
+                  "matrix is not positive definite within tolerance")
     return (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
-
-def lyapunov_solve(m, c):
-    """Symmetric solution S of m @ S + S @ m = 2 c, for SPD m and symmetric c,
-    or blockwise for stacks m and c.
-
-    Solved in the eigenbasis of m, where the equation decouples entrywise to
-    S_ij = 2 C_ij / (w_i + w_j).
-    """
-    c = _require_finite(c, "rhs")
-    w, v = _spd_eig(m, "coefficient matrix is not positive definite")
-    vt = np.swapaxes(v, -1, -2)
-    ct = vt @ sym(c) @ v
-    st = 2.0 * ct / (w[..., :, None] + w[..., None, :])
-    return sym(v @ st @ vt)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decmanopt.algorithms import (
     AgentSystem,
@@ -15,6 +17,7 @@ from decmanopt.algorithms import (
     theoretical_beta,
 )
 from decmanopt.errors import InvalidInputError, TubeViolationError
+from decmanopt.manifolds import FEAS_TOL
 from decmanopt.metrics import induced_mean, write_trace
 from decmanopt.network import MixingMatrix, build_graph, metropolis_weights
 from decmanopt.problems import GevpProblem, PcaProblem, gen_gevp_data, gen_pca_data
@@ -48,7 +51,7 @@ def test_init_perturbed_stays_in_neighborhood():
     problem, _ = gen_pca_data(8, 50, 10, 5, 0.8, seed=0)
     system = init_system(problem, "perturbed", seed=2, delta=0.1)
     spec = problem.spec
-    assert spec.is_feasible(system.points)
+    assert np.max(spec.feasibility_residual(system.points)) <= FEAS_TOL
     _, x_bar = induced_mean(spec, system.points)
     max_dev = np.max(np.linalg.norm(system.points - x_bar, axis=(1, 2)))
     assert max_dev <= 0.5 * spec.gamma
@@ -134,8 +137,47 @@ def test_dprgt_cached_gradients_equal_fresh_evaluation_bitwise():
         system = init_tracker(init_system(problem, "perturbed", seed=39, delta=0.1), problem)
         for _ in range(5):
             system = dprgt_step(system, m, 1, problem, 0.1)
-            fresh = spec.tangent_project_stack(system.points, problem.local_grads(system.points))
+            fresh = spec.riemannian_gradient(system.points, problem.local_grads(system.points))
             assert system.last_grads.tobytes() == fresh.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([gen_pca_data, gen_gevp_data]), st.sampled_from(["ring", "complete", "er"]),
+       st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_tracking_identity_holds_on_any_graph(gen, topology, n, seed):
+    # Criterion 6: mix preserves the agent average, so the tracker mean
+    # telescopes to the mean of the cached local Riemannian gradients.
+    problem, _ = gen(n, 20, 6, 2, 0.8, seed=seed)
+    m = metropolis_weights(build_graph(topology, n, seed=seed, p=0.5))
+    system = init_tracker(init_system(problem, "perturbed", seed=seed, delta=0.1), problem)
+    for _ in range(3):
+        system = dprgt_step(system, m, 1, problem, 0.1)
+    scale = max(1.0, float(np.max(np.abs(system.last_grads))))
+    gap = np.max(np.abs(system.tracker.mean(axis=0) - system.last_grads.mean(axis=0)))
+    assert gap <= 1e-12 * scale
+
+
+def test_b_stiefel_dprgt_nan_gradient_names_agent():
+    # Agent 2's local gradient turns NaN in the last step, after which no
+    # projection would see it: the gradient map itself must reject it.
+    class NanAfterInitProblem(GevpProblem):
+        calls = 0
+
+        def local_grads(self, xs):
+            grads = super().local_grads(xs)
+            self.calls += 1
+            if self.calls > 1:
+                grads[2] = np.nan
+            return grads
+
+    problem, _ = gen_gevp_data(4, 50, 8, 3, 0.8, seed=40)
+    nan_problem = NanAfterInitProblem(problem.agents, problem.spec)
+    m = metropolis_weights(build_graph("ring", 4))
+    system = init_system(problem, "identical", seed=41)
+    cfg = RunConfig(algorithm="dprgt", schedule=StepSchedule("constant", 0.1), max_iters=1)
+    with pytest.raises(InvalidInputError) as info:
+        run(cfg, nan_problem, m, system)
+    assert info.value.block == 2
 
 
 def test_dprgt_requires_tracker():

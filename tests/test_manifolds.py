@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from decmanopt.errors import SingularityError
 from decmanopt.manifolds import check_projection_lipschitz, generalized_stiefel, stiefel
 from decmanopt.numerics import sym
-from decmanopt.problems import PcaProblem
+from decmanopt.problems import GevpProblem, PcaProblem
 
 
 def random_spd(d, rng, spread=2.0):
@@ -78,14 +79,6 @@ def test_b_stiefel_project_stack_names_rank_deficient_block():
     assert info.value.block == 2
 
 
-def test_b_stiefel_tangent_project_stack_names_rank_deficient_block():
-    rng = np.random.default_rng(17)
-    spec, xs = rank_deficient_b_stiefel_stack(rng)
-    with pytest.raises(SingularityError) as info:
-        spec.tangent_project_stack(xs, rng.standard_normal(xs.shape))
-    assert info.value.block == 2
-
-
 def test_stacked_maps_equal_per_agent_maps_bitwise():
     rng = np.random.default_rng(18)
     for spec in (stiefel(8, 3), generalized_stiefel(8, 3, random_spd(8, rng))):
@@ -111,7 +104,8 @@ def test_tangent_project_idempotent_and_kills_base():
 
 
 def test_tangent_project_orthogonal_decomposition():
-    # The residual u - P(u) must be orthogonal to every tangent vector.
+    # The residual u - P(u) must be orthogonal, in the manifold's metric, to
+    # every tangent vector.
     rng = np.random.default_rng(5)
     for spec in (stiefel(10, 5), generalized_stiefel(7, 3, random_spd(7, rng))):
         x = spec.random_point(rng)
@@ -119,7 +113,7 @@ def test_tangent_project_orthogonal_decomposition():
         normal_part = u - spec.tangent_project(x, u)
         for _ in range(20):
             w = spec.random_tangent(x, rng)
-            assert abs(np.sum(normal_part * w)) <= 1e-8 * max(1.0, np.linalg.norm(w))
+            assert abs(spec.inner(normal_part, w)) <= 1e-8 * max(1.0, spec.norm(w))
 
 
 def test_tangent_project_self_adjoint():
@@ -129,8 +123,8 @@ def test_tangent_project_self_adjoint():
         for _ in range(10):
             u = rng.standard_normal((spec.d, spec.r))
             w = rng.standard_normal((spec.d, spec.r))
-            lhs = np.sum(spec.tangent_project(x, u) * w)
-            rhs = np.sum(u * spec.tangent_project(x, w))
+            lhs = spec.inner(spec.tangent_project(x, u), w)
+            rhs = spec.inner(u, spec.tangent_project(x, w))
             assert abs(lhs - rhs) <= 1e-9
 
 
@@ -160,6 +154,36 @@ def test_riemannian_gradient_directional_derivative():
         fd = (fp - fm) / (2.0 * h)
         an = float(np.sum(grad * w))
         assert abs(fd - an) <= 1e-5 * max(1.0, abs(an))
+
+
+def test_b_stiefel_riemannian_gradient_directional_derivative():
+    # <grad f(x), xi>_B is the derivative of f along the B-polar curve
+    # P(x + h xi) for tangent xi.
+    rng = np.random.default_rng(19)
+    spec = generalized_stiefel(8, 3, random_spd(8, rng))
+    problem = GevpProblem([rng.standard_normal((30, 8)) for _ in range(3)], spec)
+    x = spec.random_point(rng)
+    grad = spec.riemannian_gradient(x, problem.mean_gradient(x))
+    h = 1e-6
+    for _ in range(10):
+        xi = spec.random_tangent(x, rng, 1.0)
+        fd = (problem.value_at(spec.project(x + h * xi))
+              - problem.value_at(spec.project(x - h * xi))) / (2.0 * h)
+        an = spec.inner(grad, xi)
+        assert abs(fd - an) <= 1e-5 * max(1.0, abs(an))
+
+
+def test_b_stiefel_riemannian_gradient_vanishes_at_generalized_eigenvectors():
+    rng = np.random.default_rng(20)
+    b = random_spd(8, rng, spread=3.0)
+    spec = generalized_stiefel(8, 3, b)
+    problem = GevpProblem([rng.standard_normal((30, 8)) for _ in range(3)], spec)
+    s = sum(a.T @ a for a in problem.agents)
+    _, v = scipy.linalg.eigh(s, b)
+    x_star = v[:, :3]
+    egrad = problem.mean_gradient(x_star)
+    assert spec.feasibility_residual(x_star) <= 1e-10
+    assert spec.norm(spec.riemannian_gradient(x_star, egrad)) <= 1e-10 * np.linalg.norm(egrad)
 
 
 def test_normal_vector_inequality_stiefel():
@@ -215,6 +239,21 @@ def test_projection_probe_lipschitz_bound():
     assert np.isfinite(report.max_ratio_quad)
 
 
+def test_b_stiefel_projection_lemma():
+    # In the B-metric, B-polar agrees with the tangent projection to second
+    # order and is 2-Lipschitz within gamma: criterion 8's probes, with its
+    # trials and seeds, on a generalized Stiefel manifold.
+    rng = np.random.default_rng(21)
+    spec = generalized_stiefel(10, 5, random_spd(10, rng, spread=3.0))
+    ratios = []
+    for scale in (1e-2, 1e-3, 1e-4):
+        report = check_projection_lipschitz(spec, trials=300, noise_scale=scale, seed=1)
+        ratios.append(report.max_ratio_quad)
+    assert max(ratios) < 3.0 * min(ratios)
+    report = check_projection_lipschitz(spec, trials=1000, seed=0)
+    assert report.max_ratio_lip <= 2.0
+
+
 def test_generalized_projection_feasible():
     rng = np.random.default_rng(14)
     spec = generalized_stiefel(8, 3, random_spd(8, rng))
@@ -226,11 +265,11 @@ def test_generalized_projection_feasible():
 
 
 def test_generalized_gamma_default():
+    # B-Stiefel is an isometric copy of Stiefel in the B-norm, so it takes
+    # the certified Stiefel radius whatever B is.
     rng = np.random.default_rng(15)
-    b = random_spd(5, rng, spread=4.0)
-    spec = generalized_stiefel(5, 2, b)
-    w = np.linalg.eigvalsh(b)
-    assert np.isclose(spec.gamma, 0.5 / w[-1])
+    spec = generalized_stiefel(5, 2, random_spd(5, rng, spread=4.0))
+    assert spec.gamma == 0.5
 
 
 def test_random_point_feasible_and_seeded():

@@ -3,12 +3,7 @@ import pytest
 import scipy.linalg
 
 from decmanopt.errors import InvalidInputError, SingularityError
-from decmanopt.numerics import (
-    lyapunov_solve,
-    spd_inverse_sqrt,
-    sym_eig,
-    thin_svd,
-)
+from decmanopt.numerics import spd_inverse_sqrt, sym_eig, thin_svd
 
 
 def test_thin_svd_identity():
@@ -104,35 +99,6 @@ def test_spd_inverse_sqrt_rejects_indefinite():
         spd_inverse_sqrt(np.diag([1.0, 0.0]))
 
 
-def test_lyapunov_identity_coefficient():
-    rng = np.random.default_rng(6)
-    c = rng.standard_normal((4, 4))
-    c = c + c.T
-    assert np.allclose(lyapunov_solve(np.eye(4), c), c, atol=1e-12)
-
-
-def test_lyapunov_diagonal_example():
-    s = lyapunov_solve(np.diag([1.0, 3.0]), np.array([[2.0, 4.0], [4.0, 6.0]]))
-    assert np.allclose(s, np.full((2, 2), 2.0), atol=1e-12)
-
-
-def test_lyapunov_defining_equation_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        g = rng.standard_normal((5, 5))
-        m = g.T @ g + 0.5 * np.eye(5)
-        c = rng.standard_normal((5, 5))
-        c = c + c.T
-        s = lyapunov_solve(m, c)
-        assert np.allclose(s, s.T, atol=1e-12)
-        assert np.linalg.norm(m @ s + s @ m - 2.0 * c) <= 1e-9 * np.linalg.norm(c)
-
-
-def test_lyapunov_rejects_indefinite():
-    with pytest.raises(SingularityError):
-        lyapunov_solve(np.diag([1.0, -2.0]), np.eye(2))
-
-
 def test_determinism_bitwise():
     rng = np.random.default_rng(8)
     m = rng.standard_normal((40, 12))
@@ -151,20 +117,6 @@ def random_spd_stack(rng, n=6, r=5):
     return np.swapaxes(g, -1, -2) @ g + 0.5 * np.eye(r)
 
 
-def random_sym_stack(rng, n=6, r=5):
-    c = rng.standard_normal((n, r, r))
-    return c + np.swapaxes(c, -1, -2)
-
-
-def test_lyapunov_stack_matches_scipy_sylvester_oracle():
-    rng = np.random.default_rng(9)
-    ms, cs = random_spd_stack(rng), random_sym_stack(rng)
-    ss = lyapunov_solve(ms, cs)
-    for m, c, s in zip(ms, cs, ss):
-        ref = scipy.linalg.solve_sylvester(m, m, 2.0 * c)
-        assert np.linalg.norm(s - ref) <= 1e-10 * np.linalg.norm(ref)
-
-
 def test_spd_inverse_sqrt_stack_matches_scipy_fractional_power_oracle():
     rng = np.random.default_rng(10)
     ms = random_spd_stack(rng)
@@ -177,31 +129,21 @@ def test_spd_inverse_sqrt_stack_matches_scipy_fractional_power_oracle():
 
 def test_stacked_kernels_equal_per_matrix_calls_bitwise():
     rng = np.random.default_rng(11)
-    ms, cs = random_spd_stack(rng), random_sym_stack(rng)
+    ms = random_spd_stack(rng)
     w, v = sym_eig(ms)
     rs = spd_inverse_sqrt(ms)
-    ss = lyapunov_solve(ms, cs)
     ys = rng.standard_normal((6, 8, 3))
     u, sv, vv = thin_svd(ys)
     for i in range(len(ms)):
         w1, v1 = sym_eig(ms[i])
         assert w[i].tobytes() == w1.tobytes() and v[i].tobytes() == v1.tobytes()
         assert rs[i].tobytes() == spd_inverse_sqrt(ms[i]).tobytes()
-        assert ss[i].tobytes() == lyapunov_solve(ms[i], cs[i]).tobytes()
         u1, s1, v1 = thin_svd(ys[i])
         assert u[i].tobytes() == u1.tobytes() and sv[i].tobytes() == s1.tobytes()
         assert vv[i].tobytes() == v1.tobytes()
 
 
-def lyapunov_on_coefficient(m):
-    return lyapunov_solve(m, np.eye(m.shape[-1]))
-
-
-def lyapunov_on_rhs(c):
-    return lyapunov_solve(np.eye(c.shape[-1]), c)
-
-
-@pytest.mark.parametrize("kernel", [sym_eig, spd_inverse_sqrt, lyapunov_on_coefficient])
+@pytest.mark.parametrize("kernel", [sym_eig, spd_inverse_sqrt])
 def test_stack_rejects_an_asymmetric_block_naming_it(kernel):
     ms = random_spd_stack(np.random.default_rng(12))
     ms[3, 0, 1] += 1.0
@@ -210,7 +152,7 @@ def test_stack_rejects_an_asymmetric_block_naming_it(kernel):
     assert info.value.block == 3
 
 
-@pytest.mark.parametrize("kernel", [spd_inverse_sqrt, lyapunov_on_coefficient])
+@pytest.mark.parametrize("kernel", [spd_inverse_sqrt])
 def test_stack_rejects_an_indefinite_block_naming_it(kernel):
     ms = random_spd_stack(np.random.default_rng(13))
     ms[4] = np.diag([1.0, 2.0, -1.0, 3.0, 4.0])
@@ -219,7 +161,7 @@ def test_stack_rejects_an_indefinite_block_naming_it(kernel):
     assert info.value.block == 4
 
 
-@pytest.mark.parametrize("kernel", [sym_eig, spd_inverse_sqrt, thin_svd, lyapunov_on_rhs])
+@pytest.mark.parametrize("kernel", [sym_eig, spd_inverse_sqrt, thin_svd])
 def test_stack_rejects_a_non_finite_block_naming_it(kernel):
     ms = random_spd_stack(np.random.default_rng(14))
     ms[1, 2, 2] = np.nan
