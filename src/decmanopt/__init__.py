@@ -14,11 +14,9 @@ from .algorithms import (
     consensus_step,
     dprgd_step,
     dprgt_step,
-    estimate_smoothness,
     init_system,
     init_tracker,
     run,
-    theoretical_beta,
 )
 from .errors import (
     ConfigError,
@@ -38,7 +36,6 @@ from .metrics import (
     consensus_error,
     induced_mean,
     quadratic_upper_bound_probe,
-    read_trace,
     stationarity,
     subspace_distance,
     write_trace,

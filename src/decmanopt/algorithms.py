@@ -11,9 +11,7 @@ constant step size.
 
 Step sizes are tuning inputs: the complexity theory's admissible steps
 depend on constants with no closed form, so runs are parameterized the
-way experiments are in practice (a constant step, or beta/sqrt(k+1)),
-plus :func:`estimate_smoothness` for deriving the theoretical diminishing
-schedule from data.
+way experiments are in practice (a constant step, or beta/sqrt(k+1)).
 """
 
 import time
@@ -25,7 +23,6 @@ from .errors import InvalidInputError, SingularityError, TubeViolationError
 from .metrics import (
     TraceRecord,
     induced_mean,
-    quadratic_upper_bound_probe,
     stationarity,
     subspace_distance,
 )
@@ -286,29 +283,3 @@ def run(cfg, problem, mixing, system, truth=None):
 
 def _stationary(rec, eps):
     return rec.consensus_error <= eps and rec.grad_norm_sq <= eps
-
-
-def estimate_smoothness(problem, trials=50, seed=0):
-    """Empirical stand-in for the smoothness constant L.
-
-    Takes the max of the sampled gradient-norm bound, the Riemannian
-    gradient-Lipschitz ratio, and the quadratic upper-bound constant, over
-    random feasible pairs.  Feeds :func:`theoretical_beta` for users who
-    want the theory-prescribed diminishing schedule.
-    """
-    spec = problem.spec
-    rng = np.random.default_rng(seed)
-    l_g = 0.0
-    for _ in range(trials):
-        x = spec.random_point(rng)
-        for i in range(problem.n_agents):
-            l_g = max(l_g, float(np.linalg.norm(problem.local_grad(i, x))))
-    probe = quadratic_upper_bound_probe(problem, trials, seed=seed + 1)
-    return max(l_g, probe.quad_bound, probe.grad_lip)
-
-
-def theoretical_beta(gamma, smoothness):
-    """The diminishing-schedule coefficient min(gamma / (24 L), 1)."""
-    if smoothness <= 0:
-        raise InvalidInputError("smoothness must be positive")
-    return min(gamma / (24.0 * smoothness), 1.0)

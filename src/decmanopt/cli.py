@@ -30,16 +30,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _default_workers():
-    env = os.environ.get("MC_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _build_parser():
     parser = _Parser(prog="decmanopt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -61,7 +51,7 @@ def _build_parser():
         p.add_argument("--config", help="config file of flat dotted keys")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override any config key (repeatable)")
-        p.add_argument("--workers", type=int, default=_default_workers(),
+        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                        help="worker threads for sweep candidates (results do not depend on it)")
 
     runp = sub.add_parser("run", help="run one experiment")

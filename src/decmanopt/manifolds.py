@@ -201,20 +201,23 @@ def check_projection_lipschitz(spec, trials, noise_scale=None, seed=0):
     """Probe the two projection inequalities with random perturbations.
 
     Samples a feasible x and ambient perturbations u, u' with metric norms
-    at most ``noise_scale`` (default: spec.gamma, the largest radius for
-    which the 2-Lipschitz bound is claimed), and records, in the metric,
+    drawn uniformly from [s/2, s], s = ``noise_scale`` (default: spec.gamma,
+    the largest radius for which the 2-Lipschitz bound is claimed), and
+    records, in the metric,
 
     * max ||P(x+u) - P(x+u')|| / ||u - u'||   (Lipschitz ratio), and
     * max ||P(x+u) - x - P_T(u)|| / ||u||^2   (quadratic ratio).
 
-    Samples where the projection is undefined are skipped and counted.
+    Keeping ||u|| >= s/2 keeps the quadratic ratio above the roundoff of x's
+    own feasibility at small s.  Samples where the projection is undefined
+    are skipped and counted.
     """
     if trials < 1:
         raise InvalidInputError("trials must be at least 1")
     if noise_scale is None:
         noise_scale = spec.gamma
-    if noise_scale > spec.gamma:
-        raise InvalidInputError("noise_scale must not exceed gamma")
+    if not 0.0 < noise_scale <= spec.gamma:
+        raise InvalidInputError("noise_scale must lie in (0, gamma]")
     rng = np.random.default_rng(seed)
     max_lip = 0.0
     max_quad = 0.0
@@ -224,8 +227,8 @@ def check_projection_lipschitz(spec, trials, noise_scale=None, seed=0):
             x = spec.random_point(rng)
             u = rng.standard_normal((spec.d, spec.r))
             up = rng.standard_normal((spec.d, spec.r))
-            u *= rng.uniform(0.0, noise_scale) / max(spec.norm(u), 1e-300)
-            up *= rng.uniform(0.0, noise_scale) / max(spec.norm(up), 1e-300)
+            u *= rng.uniform(0.5 * noise_scale, noise_scale) / max(spec.norm(u), 1e-300)
+            up *= rng.uniform(0.5 * noise_scale, noise_scale) / max(spec.norm(up), 1e-300)
             pu = spec.project(x + u)
             pup = spec.project(x + up)
         except SingularityError:

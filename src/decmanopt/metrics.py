@@ -169,26 +169,3 @@ def write_trace(path, records):
                     "",
                 ]
             )
-
-
-def read_trace(path):
-    """Parse a trace CSV back into records (wall_ns comes back as None)."""
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != TRACE_COLUMNS:
-            raise InvalidInputError(f"{path}: unexpected trace header {header}")
-        for row in reader:
-            records.append(
-                TraceRecord(
-                    iter=int(row[0]),
-                    step_size=float(row[1]),
-                    consensus_error=float(row[2]),
-                    objective_at_mean=float(row[3]),
-                    grad_norm_sq=float(row[4]),
-                    dist_to_truth=float(row[5]) if row[5] else None,
-                    wall_ns=int(row[6]) if row[6] else None,
-                )
-            )
-    return records

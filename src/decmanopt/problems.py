@@ -1,9 +1,12 @@
 """The three multi-agent objectives and their data generators.
 
-Each problem holds per-agent local data and exposes the local objective
-value and local Euclidean gradient; Riemannian gradients are obtained by
-tangent projection through the problem's manifold spec.  The global
-objective is always the average f(x) = (1/n) sum_i f_i(x).
+Each problem holds per-agent local data and answers two calls, which are
+all an iteration and a record need: ``local_grads(xs)``, the stacked
+Euclidean gradients with agent i evaluated at its own block xs[i], and
+``mean_value_and_gradient(x)``, the global objective f(x) = (1/n) sum_i
+f_i(x) and its Euclidean gradient at a common point.  ``local_value(i, x)``
+and ``local_grad(i, x)`` give one agent's terms for the oracle checks.
+Riemannian gradients are obtained through the problem's manifold spec.
 
 * PCA:   f_i(x) = -1/2 tr(x' A_i'A_i x)      on St(d, r)
 * GEVP:  f_i(x) = +1/2 tr(x' A_i'A_i x)      on St_B(d, r)
@@ -38,46 +41,12 @@ class GroundTruth:
         self.f_star = None if f_star is None else float(f_star)
 
 
-class _AveragedProblem:
-    """Shared plumbing: agent indexing and averaged global quantities."""
-
-    kind = None
-
-    @property
-    def n_agents(self):
-        raise NotImplementedError
-
-    def local_value(self, i, x):
-        raise NotImplementedError
-
-    def local_grad(self, i, x):
-        raise NotImplementedError
-
-    def _check_agent(self, i):
-        if not (0 <= i < self.n_agents):
-            raise InvalidInputError(f"agent index {i} out of range [0, {self.n_agents})")
-
-    def local_grads(self, xs):
-        """Stacked Euclidean gradients, agent i evaluated at its own block xs[i]."""
-        return np.stack([self.local_grad(i, xs[i]) for i in range(self.n_agents)])
-
-    def value_at(self, x):
-        """Global objective f(x) = (1/n) sum_i f_i(x) at a common point."""
-        return sum(self.local_value(i, x) for i in range(self.n_agents)) / self.n_agents
-
-    def mean_gradient(self, x):
-        """(1/n) sum_i grad f_i(x) (Euclidean) at a common point."""
-        g = np.zeros_like(np.asarray(x, dtype=float))
-        for i in range(self.n_agents):
-            g += self.local_grad(i, x)
-        return g / self.n_agents
-
-    def mean_value_and_gradient(self, x):
-        """f(x) and its Euclidean gradient together (one data sweep where possible)."""
-        return self.value_at(x), self.mean_gradient(x)
+def _check_agent(problem, i):
+    if not (0 <= i < problem.n_agents):
+        raise InvalidInputError(f"agent index {i} out of range [0, {problem.n_agents})")
 
 
-class _QuadraticTraceProblem(_AveragedProblem):
+class _QuadraticTraceProblem:
     """Common core of PCA and GEVP: f_i(x) = sign/2 tr(x' A_i'A_i x)."""
 
     _sign = 1.0
@@ -96,21 +65,20 @@ class _QuadraticTraceProblem(_AveragedProblem):
         return len(self.agents)
 
     def local_value(self, i, x):
-        self._check_agent(i)
+        _check_agent(self, i)
         return 0.5 * self._sign * float(np.sum(x * (self._grams[i] @ x)))
 
     def local_grad(self, i, x):
-        self._check_agent(i)
+        _check_agent(self, i)
         return self._sign * (self._grams[i] @ x)
 
     def local_grads(self, xs):
         return self._sign * (self._grams @ xs)
 
-    def value_at(self, x):
-        return 0.5 * self._sign * float(np.sum(x * (self._total_gram @ x))) / self.n_agents
-
-    def mean_gradient(self, x):
-        return self._sign * (self._total_gram @ x) / self.n_agents
+    def mean_value_and_gradient(self, x):
+        sx = self._total_gram @ x
+        value = 0.5 * self._sign * float(np.sum(x * sx)) / self.n_agents
+        return value, self._sign * sx / self.n_agents
 
 
 class PcaProblem(_QuadraticTraceProblem):
@@ -130,10 +98,9 @@ class GevpProblem(_QuadraticTraceProblem):
         if spec.kind != manifolds.GENERALIZED_STIEFEL:
             raise InvalidInputError("GevpProblem requires a generalized Stiefel spec")
         super().__init__(agents, spec)
-        self.b = spec.b
 
 
-class LrmcProblem(_AveragedProblem):
+class LrmcProblem:
     """Column-partitioned low-rank matrix completion on the Stiefel manifold.
 
     Each agent holds an m-by-T_i block of observed entries (unobserved
@@ -173,10 +140,7 @@ class LrmcProblem(_AveragedProblem):
         per-column maximum treated as zero; columns with no observations
         get an all-zero column of V.
         """
-        self._check_agent(i)
-        return self._solve(i, x)
-
-    def _solve(self, i, x):
+        _check_agent(self, i)
         a, _ = self.data[i]
         maskf = self._maskf[i]
         m, r = x.shape
@@ -189,27 +153,29 @@ class LrmcProblem(_AveragedProblem):
         v = vecs @ (winv[:, :, None] * (np.swapaxes(vecs, 1, 2) @ rhs[:, :, None]))
         return v[:, :, 0].T
 
-    def _residual(self, i, x, v):
+    def _residual_and_fit(self, i, x):
+        """The masked residual mask_i * (x V - a) and the inner fit V."""
+        v = self.inner_solve(i, x)
         a, mask = self.data[i]
-        return np.where(mask, x @ v - a, 0.0)
+        return np.where(mask, x @ v - a, 0.0), v
 
     def local_value(self, i, x):
-        self._check_agent(i)
-        res = self._residual(i, x, self._solve(i, x))
+        res, _ = self._residual_and_fit(i, x)
         return 0.5 * float(np.sum(res * res))
 
     def local_grad(self, i, x):
         """Gradient through the inner minimizer: masked residual times V'."""
-        self._check_agent(i)
-        v = self._solve(i, x)
-        return self._residual(i, x, v) @ v.T
+        res, v = self._residual_and_fit(i, x)
+        return res @ v.T
+
+    def local_grads(self, xs):
+        return np.stack([self.local_grad(i, xs[i]) for i in range(self.n_agents)])
 
     def mean_value_and_gradient(self, x):
         total = 0.0
         g = np.zeros_like(x)
         for i in range(self.n_agents):
-            v = self._solve(i, x)
-            res = self._residual(i, x, v)
+            res, v = self._residual_and_fit(i, x)
             total += 0.5 * float(np.sum(res * res))
             g += res @ v.T
         return total / self.n_agents, g / self.n_agents
@@ -252,24 +218,18 @@ def gen_pca_data(n, m_i, d, r, xi, seed):
     return problem, GroundTruth(v[:, :r], f_star)
 
 
-def gevp_scale_exponents(d):
-    """Default exponent sequence for the constraint spectrum 1.1^e.
-
-    Anchored at e_1 = 1, then e_j = (j - 1)/2, which reproduces the
-    documented endpoints (1.1 first, 1.1^0.5 second, 1.1^(d/2 - 0.5) last).
-    """
-    return np.array([1.0] + [0.5 * (j - 1) for j in range(2, d + 1)])
-
-
 def gevp_constraint(d, rng):
     """The SPD constraint matrix B = Q diag(1.1^e) Q' of the GEVP testbed.
 
     Q is a random orthogonal matrix drawn from ``rng`` (sign-fixed QR of a
-    Gaussian matrix) and e is :func:`gevp_scale_exponents`.
+    Gaussian matrix).  The exponents are anchored at e_1 = 1, then
+    e_j = (j - 1)/2, which reproduces the documented endpoints (1.1 first,
+    1.1^0.5 second, 1.1^(d/2 - 0.5) last).
     """
     q, rr = np.linalg.qr(rng.standard_normal((d, d)))
     q = q * np.sign(np.diag(rr))
-    b = q @ np.diag(1.1 ** gevp_scale_exponents(d)) @ q.T
+    e = np.array([1.0] + [0.5 * (j - 1) for j in range(2, d + 1)])
+    b = q @ np.diag(1.1 ** e) @ q.T
     return 0.5 * (b + b.T)
 
 
@@ -394,7 +354,7 @@ def save_dataset(dirpath, problem, truth, seed, xi=None, nu=None):
         for i, a in enumerate(problem.agents):
             save_matrix(os.path.join(dirpath, f"A_{i}.csv"), a)
         if problem.kind == GEVP:
-            save_matrix(os.path.join(dirpath, "B.csv"), problem.b)
+            save_matrix(os.path.join(dirpath, "B.csv"), problem.spec.b)
     elif problem.kind == LRMC:
         meta["m_i"] = problem.data[0][0].shape[1]
         for i, (a, mask) in enumerate(problem.data):

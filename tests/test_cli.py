@@ -145,23 +145,18 @@ def test_check_generalized(capsys):
     assert "max_ratio_lip" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", ["-0.1", "0"])
+def test_check_rejects_nonpositive_noise_scale(capsys, scale):
+    assert main(["check", "--trials", "5", "--noise-scale", scale]) == 1
+    assert "error: noise_scale" in capsys.readouterr().err
+
+
 def test_gen_data_defaults_are_the_config_defaults():
     args = _build_parser().parse_args(["gen-data", "--kind", "pca", "--out", "x"])
     defaults = {row.key: row.default for row in harness.CONFIG_KEYS}
     for dest in ("n", "d", "r", "m_i", "xi", "m", "T"):
         value, default = getattr(args, dest), defaults[f"problem.{dest}"]
         assert value == default and type(value) is type(default), dest
-
-
-def test_workers_env_fallback(monkeypatch):
-    from decmanopt.cli import _default_workers
-
-    monkeypatch.setenv("MC_WORKERS", "3")
-    assert _default_workers() == 3
-    monkeypatch.setenv("MC_WORKERS", "junk")
-    assert _default_workers() >= 1
-    monkeypatch.delenv("MC_WORKERS")
-    assert _default_workers() >= 1
 
 
 def test_console_entry_point(tmp_path):

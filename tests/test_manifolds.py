@@ -145,12 +145,12 @@ def test_riemannian_gradient_directional_derivative():
     spec = stiefel(10, 5)
     problem = PcaProblem([rng.standard_normal((40, 10)) for _ in range(3)], spec)
     x = spec.random_point(rng)
-    grad = spec.tangent_project(x, problem.mean_gradient(x))
+    grad = spec.tangent_project(x, problem.mean_value_and_gradient(x)[1])
     h = 1e-6
     for _ in range(10):
         w = spec.random_tangent(x, rng, 1.0)
-        fp = problem.value_at(spec.project(x + h * w))
-        fm = problem.value_at(spec.project(x - h * w))
+        fp = problem.mean_value_and_gradient(spec.project(x + h * w))[0]
+        fm = problem.mean_value_and_gradient(spec.project(x - h * w))[0]
         fd = (fp - fm) / (2.0 * h)
         an = float(np.sum(grad * w))
         assert abs(fd - an) <= 1e-5 * max(1.0, abs(an))
@@ -163,12 +163,12 @@ def test_b_stiefel_riemannian_gradient_directional_derivative():
     spec = generalized_stiefel(8, 3, random_spd(8, rng))
     problem = GevpProblem([rng.standard_normal((30, 8)) for _ in range(3)], spec)
     x = spec.random_point(rng)
-    grad = spec.riemannian_gradient(x, problem.mean_gradient(x))
+    grad = spec.riemannian_gradient(x, problem.mean_value_and_gradient(x)[1])
     h = 1e-6
     for _ in range(10):
         xi = spec.random_tangent(x, rng, 1.0)
-        fd = (problem.value_at(spec.project(x + h * xi))
-              - problem.value_at(spec.project(x - h * xi))) / (2.0 * h)
+        fd = (problem.mean_value_and_gradient(spec.project(x + h * xi))[0]
+              - problem.mean_value_and_gradient(spec.project(x - h * xi))[0]) / (2.0 * h)
         an = spec.inner(grad, xi)
         assert abs(fd - an) <= 1e-5 * max(1.0, abs(an))
 
@@ -181,7 +181,7 @@ def test_b_stiefel_riemannian_gradient_vanishes_at_generalized_eigenvectors():
     s = sum(a.T @ a for a in problem.agents)
     _, v = scipy.linalg.eigh(s, b)
     x_star = v[:, :3]
-    egrad = problem.mean_gradient(x_star)
+    egrad = problem.mean_value_and_gradient(x_star)[1]
     assert spec.feasibility_residual(x_star) <= 1e-10
     assert spec.norm(spec.riemannian_gradient(x_star, egrad)) <= 1e-10 * np.linalg.norm(egrad)
 
@@ -223,13 +223,17 @@ def test_projection_probe_zero_perturbation():
 
 
 def test_projection_probe_quadratic_ratio_stable():
-    spec = stiefel(10, 5)
-    ratios = []
-    for scale in (1e-2, 1e-3, 1e-4):
-        report = check_projection_lipschitz(spec, trials=200, noise_scale=scale, seed=12)
-        ratios.append(report.max_ratio_quad)
     # O(||u||^2) behavior: the ratio does not diverge as the scale shrinks.
-    assert max(ratios) <= 3.0 * ratios[0]
+    # Seed 4 drew ||u|| near zero when ||u|| was uniform on [0, s], so the
+    # ratio measured the roundoff of x itself.
+    b_spec = generalized_stiefel(10, 5, random_spd(10, np.random.default_rng(21), spread=3.0))
+    for spec, trials, seed in ((stiefel(10, 5), 200, 12), (stiefel(10, 5), 300, 4),
+                               (b_spec, 300, 4)):
+        ratios = []
+        for scale in (1e-2, 1e-3, 1e-4):
+            report = check_projection_lipschitz(spec, trials=trials, noise_scale=scale, seed=seed)
+            ratios.append(report.max_ratio_quad)
+        assert max(ratios) < 3.0 * min(ratios)
 
 
 def test_projection_probe_lipschitz_bound():

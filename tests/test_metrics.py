@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from decmanopt import manifolds
 from decmanopt.metrics import (
@@ -7,7 +6,6 @@ from decmanopt.metrics import (
     consensus_error,
     induced_mean,
     quadratic_upper_bound_probe,
-    read_trace,
     stationarity,
     subspace_distance,
     write_trace,
@@ -163,20 +161,14 @@ def test_trace_round_trip(tmp_path):
     write_trace(path, records)
     text = path.read_text().splitlines()
     assert text[0] == "iter,step_size,consensus_error,objective_at_mean,grad_norm_sq,dist_to_truth,wall_ns"
-    back = read_trace(path)
-    for rec, ref in zip(back, records):
-        assert rec.iter == ref.iter
-        assert rec.step_size == ref.step_size
-        assert rec.consensus_error == ref.consensus_error
-        assert rec.objective_at_mean == ref.objective_at_mean
-        assert rec.grad_norm_sq == ref.grad_norm_sq
-        assert rec.dist_to_truth == ref.dist_to_truth
+    rows = [line.split(",") for line in text[1:]]
+    assert len(rows) == len(records)
+    for row, ref in zip(rows, records):
+        assert int(row[0]) == ref.iter
+        assert float(row[1]) == ref.step_size
+        assert float(row[2]) == ref.consensus_error
+        assert float(row[3]) == ref.objective_at_mean
+        assert float(row[4]) == ref.grad_norm_sq
+        assert (float(row[5]) if row[5] else None) == ref.dist_to_truth
         # wall time is kept out of the persisted trace (determinism contract).
-        assert rec.wall_ns is None
-
-
-def test_trace_rejects_foreign_header(tmp_path):
-    path = tmp_path / "trace.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(Exception):
-        read_trace(path)
+        assert row[6] == ""

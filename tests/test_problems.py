@@ -12,7 +12,7 @@ from decmanopt.problems import (
     gen_gevp_data,
     gen_lrmc_data,
     gen_pca_data,
-    gevp_scale_exponents,
+    gevp_constraint,
     load_dataset,
     load_matrix,
     lrmc_mask_density,
@@ -76,14 +76,14 @@ def test_gen_pca_matches_svd_oracle():
     _, _, vt = np.linalg.svd(stacked, full_matrices=False)
     oracle = vt.T[:, :5]
     assert subspace_distance(oracle, truth.x_star) < 1e-8
-    assert abs(problem.value_at(truth.x_star) - truth.f_star) < 1e-12
+    assert abs(problem.mean_value_and_gradient(truth.x_star)[0] - truth.f_star) < 1e-12
 
 
 def test_gen_pca_degenerate_spectrum():
     problem, truth = gen_pca_data(4, 10, 6, 2, 1.0, seed=0)
     # All singular values equal: any feasible point attains f*.
     x = problem.spec.random_point(np.random.default_rng(3))
-    assert abs(problem.value_at(x) - truth.f_star) < 1e-10
+    assert abs(problem.mean_value_and_gradient(x)[0] - truth.f_star) < 1e-10
 
 
 def test_gen_pca_deterministic():
@@ -96,9 +96,10 @@ def test_gen_pca_deterministic():
 def test_gen_pca_optimum_beats_random_points():
     problem, truth = gen_pca_data(4, 100, 8, 3, 0.8, seed=5)
     rng = np.random.default_rng(6)
-    f_star = problem.value_at(truth.x_star)
+    f_star = problem.mean_value_and_gradient(truth.x_star)[0]
     for _ in range(100):
-        assert f_star <= problem.value_at(problem.spec.random_point(rng)) + 1e-12
+        x = problem.spec.random_point(rng)
+        assert f_star <= problem.mean_value_and_gradient(x)[0] + 1e-12
 
 
 def test_gradient_bound_recorded():
@@ -146,18 +147,19 @@ def test_gevp_grad_finite_differences():
         assert rel_err(fd, p.local_grad(i, x)) < 1e-5
 
 
-def test_gevp_scale_exponents_literal_prefix():
-    # First 1.1, second 1.1^0.5, last 1.1^(d/2 - 0.5).
-    e2 = gevp_scale_exponents(2)
-    assert np.allclose(e2, [1.0, 0.5])
-    e10 = gevp_scale_exponents(10)
-    assert e10[0] == 1.0 and e10[1] == 0.5 and e10[-1] == 10 / 2 - 0.5
+def test_gevp_constraint_spectrum_literal_prefix():
+    # Eigenvalues 1.1 first, 1.1^0.5 second, 1.1^(d/2 - 0.5) last.
+    w2 = np.linalg.eigvalsh(gevp_constraint(2, np.random.default_rng(0)))
+    assert np.allclose(np.sort(w2), np.sort(1.1 ** np.array([1.0, 0.5])))
+    w10 = np.linalg.eigvalsh(gevp_constraint(10, np.random.default_rng(1)))
+    e10 = np.array([1.0] + [0.5 * (j - 1) for j in range(2, 11)])
+    assert np.allclose(np.sort(w10), np.sort(1.1 ** e10))
 
 
 def test_gen_gevp_matches_dense_generalized_eig_oracle():
     problem, truth = gen_gevp_data(8, 1000, 10, 5, 0.8, seed=7)
     s = sum(a.T @ a for a in problem.agents)
-    w, v = scipy.linalg.eigh(s, problem.b)
+    w, v = scipy.linalg.eigh(s, problem.spec.b)
     oracle = v[:, :5]
     assert subspace_distance(oracle, truth.x_star) < 1e-8
     assert abs(truth.f_star - 0.5 / 8 * np.sum(w[:5])) < 1e-12
@@ -289,7 +291,7 @@ def test_gen_lrmc_deterministic_and_optimal():
     for (a1, m1), (a2, m2) in zip(p1.data, p2.data):
         assert a1.tobytes() == a2.tobytes() and np.array_equal(m1, m2)
     # The planted column space fits all observations: objective zero.
-    assert p1.value_at(t1.x_star) <= 1e-18
+    assert p1.mean_value_and_gradient(t1.x_star)[0] <= 1e-18
 
 
 def test_gen_lrmc_uneven_split_covers_all_columns():
@@ -351,7 +353,7 @@ def test_dataset_bundle_round_trip(tmp_path, kind):
         for a1, a2 in zip(problem.agents, loaded.agents):
             assert np.array_equal(a1, a2)
         if kind == "gevp":
-            assert np.array_equal(problem.b, loaded.b)
+            assert np.array_equal(problem.spec.b, loaded.spec.b)
 
 
 def test_dataset_manifest_keys(tmp_path):
