@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularityError, TubeViolationError
+from .errors import InvalidInputError, NonFiniteError, SingularityError, TubeViolationError
 from .metrics import (
     TraceRecord,
     induced_mean,
@@ -49,8 +49,8 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in (CONSTANT, DIMINISHING):
             raise InvalidInputError(f"unknown schedule kind {self.kind!r}")
-        if not self.beta > 0:
-            raise InvalidInputError("beta must be positive")
+        if not 0 < self.beta < np.inf:
+            raise InvalidInputError("beta must be positive and finite")
 
     def alpha(self, k):
         if self.kind == CONSTANT:
@@ -131,8 +131,9 @@ def init_system(problem, mode=INIT_IDENTICAL, seed=0, delta=0.0):
         delta *= 0.5
 
 
-def consensus_step(system, mixing, t, problem):
-    """x_i <- P(sum_j (W^t)_ij x_j); tracker states are untouched."""
+def consensus_step(system, mixing, t, problem, alpha=0.0):
+    """x_i <- P(sum_j (W^t)_ij x_j); takes no gradient step, so ``alpha``
+    is ignored, and tracker states are untouched."""
     mixed = mix(mixing, system.points, t)
     return replace(system, points=problem.spec.project_stack(mixed))
 
@@ -211,22 +212,18 @@ def _measure(k, alpha, system, problem, truth, t_start):
 
 
 def run(cfg, problem, mixing, system, truth=None):
-    """Execute ``cfg.max_iters`` steps, recording metrics every
-    ``cfg.trace_every`` iterations (plus the initial state and the final
-    iterate).
+    """Execute ``cfg.max_iters`` steps, recording metrics at iteration 0,
+    every ``cfg.trace_every`` iterations and at the final iterate.
 
-    Deterministic given (cfg, problem, system).  A rank-deficient stacked
-    mean or projection target raises :class:`TubeViolationError` carrying
-    the iteration index, the offending agent, and the records so far.
+    Deterministic given (cfg, problem, system); none of them is mutated.
+    When a rank-deficient projection target or stacked mean, or a
+    non-finite state or gradient, stops the iteration, the run raises
+    :class:`TubeViolationError` carrying the iteration index, the offending
+    agent, and the records so far.
     """
     if problem.n_agents != system.n or mixing.n != system.n:
         raise InvalidInputError("problem, mixing matrix, and system disagree on the agent count")
-    step = {
-        CONSENSUS: lambda sys_, alpha: consensus_step(sys_, mixing, cfg.t, problem),
-        DPRGD: lambda sys_, alpha: dprgd_step(sys_, mixing, cfg.t, problem, alpha),
-        DPRGT: lambda sys_, alpha: dprgt_step(sys_, mixing, cfg.t, problem, alpha),
-    }[cfg.algorithm]
-
+    step = {CONSENSUS: consensus_step, DPRGD: dprgd_step, DPRGT: dprgt_step}[cfg.algorithm]
     tracked = cfg.algorithm == DPRGT
     if tracked and system.tracker is None:
         system = init_tracker(system, problem)
@@ -234,52 +231,27 @@ def run(cfg, problem, mixing, system, truth=None):
         raise InvalidInputError("tracker given without cached gradients; call init_tracker")
 
     t_start = time.monotonic_ns()
-    s_hat_sq = []
-    gaps = []
-    records = []
-
-    def note_diagnostics(sys_):
-        if tracked:
-            sq, gap = _tracking_diagnostics(sys_)
-            s_hat_sq.append(sq)
-            gaps.append(gap)
-
-    def finish(status):
-        return Trace(
-            records,
-            status,
-            system,
-            np.array(s_hat_sq) if tracked else None,
-            np.array(gaps) if tracked else None,
-        )
-
-    def step_size(k):
-        # the pure consensus scheme takes no gradient step
-        return 0.0 if cfg.algorithm == CONSENSUS else cfg.schedule.alpha(k)
-
-    current_iter = 0
+    records, diagnostics = [], []
+    status = "completed"
     try:
-        note_diagnostics(system)
-        rec = _measure(0, step_size(0), system, problem, truth, t_start)
-        records.append(rec)
-        if cfg.stop_eps is not None and _stationary(rec, cfg.stop_eps):
-            return finish("stopped")
-        for k in range(cfg.max_iters):
-            current_iter = k + 1
-            alpha = step_size(k)
-            system = step(system, alpha)
-            note_diagnostics(system)
-            if current_iter % cfg.trace_every == 0 or current_iter == cfg.max_iters:
-                rec = _measure(current_iter, alpha, system, problem, truth, t_start)
+        for k in range(cfg.max_iters + 1):
+            # record k carries the step that produced it; the pure consensus
+            # scheme takes no gradient step
+            alpha = 0.0 if cfg.algorithm == CONSENSUS else cfg.schedule.alpha(max(k - 1, 0))
+            if k:
+                system = step(system, mixing, cfg.t, problem, alpha)
+            if tracked:
+                diagnostics.append(_tracking_diagnostics(system))
+            if k % cfg.trace_every == 0 or k == cfg.max_iters:
+                rec = _measure(k, alpha, system, problem, truth, t_start)
                 records.append(rec)
-                if cfg.stop_eps is not None and _stationary(rec, cfg.stop_eps):
-                    return finish("stopped" if current_iter < cfg.max_iters else "completed")
-    except SingularityError as exc:
-        err = TubeViolationError(current_iter, getattr(exc, "block", None), str(exc))
+                eps = cfg.stop_eps
+                if eps is not None and rec.consensus_error <= eps and rec.grad_norm_sq <= eps:
+                    status = "completed" if 0 < k == cfg.max_iters else "stopped"
+                    break
+    except (SingularityError, NonFiniteError) as exc:
+        err = TubeViolationError(k, getattr(exc, "block", None), str(exc))
         err.records = records
         raise err from exc
-    return finish("completed")
-
-
-def _stationary(rec, eps):
-    return rec.consensus_error <= eps and rec.grad_norm_sq <= eps
+    s_hat_sq, gaps = (np.array(col) for col in zip(*diagnostics)) if tracked else (None, None)
+    return Trace(records, status, system, s_hat_sq, gaps)

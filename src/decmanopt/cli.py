@@ -7,8 +7,9 @@ with ``--set key=value``), ``sweep`` grid-searches the step size,
 projection inequality probes.
 
 Exit codes: 0 on success, 1 on configuration or validation errors, 2 when
-a run aborts (projection tube violation).  Diagnostics go to stderr; data
-only to files under the configured output directory.
+a run aborts (a projection tube violation or a non-finite state).
+Diagnostics go to stderr; data only to files under the configured output
+directory.
 """
 
 import argparse

@@ -5,6 +5,10 @@ class InvalidInputError(ValueError):
     """An argument violates a documented precondition (shape, finiteness, symmetry, ...)."""
 
 
+class NonFiniteError(InvalidInputError):
+    """An array that must be finite holds NaN or Inf."""
+
+
 class SingularityError(ArithmeticError):
     """A factorization target is (numerically) rank deficient or not positive definite."""
 
@@ -18,11 +22,14 @@ class ConfigError(ValueError):
 
 
 class TubeViolationError(RuntimeError):
-    """A run produced a stacked mean outside the projection tube.
+    """A run left the regime where its iteration is defined.
 
-    Signals that the iterates left the neighborhood where the nearest-point
-    projection is single valued, typically because the initial agents were too
-    spread out or the step size too large.
+    Raised when a projection target or the stacked mean turned rank
+    deficient (the iterates left the neighborhood where the nearest-point
+    projection is single valued) or a state, gradient or projection target
+    turned non-finite (overflow).  Typical causes are initial agents spread
+    too far apart or too large a step size.  Carries the iteration, the
+    offending agent (None when unknown) and the records taken so far.
     """
 
     def __init__(self, iteration, agent, message=""):

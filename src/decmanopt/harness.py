@@ -16,9 +16,9 @@ A configuration is a flat text file of dotted ``key = value`` lines
 
 Running writes ``trace.csv`` (the metrics schema) and ``manifest.txt``, a
 key=value echo of the fully resolved configuration followed by reserved
-summary keys (status, final.*, timing.*, network.*).  Because the echo is
-itself a valid configuration and every seed is explicit, re-running from a
-manifest reproduces the trace byte for byte.
+summary keys (status, final.* or abort.*, timing.*, network.*).  Because
+the echo is itself a valid configuration and every seed is explicit,
+re-running from a manifest reproduces the trace byte for byte.
 """
 
 import os
@@ -35,7 +35,7 @@ from .errors import ConfigError, InvalidInputError, TubeViolationError
 _REQUIRED = object()
 
 # Manifest-only keys; ignored when a manifest is re-used as a config.
-RESERVED_PREFIXES = ("status", "abort.", "final.", "timing.", "network.", "sweep.")
+RESERVED_PREFIXES = ("status", "abort.", "final.", "timing.", "network.")
 
 
 def _bool(value):
@@ -94,6 +94,8 @@ CONFIG_KEYS = (
     ConfigKey("run.eps", "eps", float, None),
 )
 _KNOWN_KEYS = frozenset(row.key for row in CONFIG_KEYS)
+# The problem.* sizes, which a bundle takes from its meta.json instead.
+_SIZE_ATTRS = ("n", "d", "r", "m_i", "xi", "m", "T")
 
 ExperimentConfig = make_dataclass(
     "ExperimentConfig",
@@ -156,6 +158,8 @@ def _resolve(raw, row, default):
         raise ConfigError(f"config key {row.key}: cannot parse {raw[row.key]!r}") from exc
     if row.choices is not None and value not in row.choices:
         raise ConfigError(f"config key {row.key}: {value!r} not one of {sorted(row.choices)}")
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"config key {row.key}: {raw[row.key]!r} is not finite")
     return value
 
 
@@ -165,6 +169,9 @@ def resolve_config(raw):
     for row in CONFIG_KEYS:
         default = row.default(done) if callable(row.default) else row.default
         done[row.attr] = _resolve(raw, row, default)
+    if done["problem_kind"] == "bundle":
+        # accepted, so older bundle manifests still resolve, but not echoed
+        done.update(dict.fromkeys(_SIZE_ATTRS, None))
     unknown = [k for k in raw if k not in _KNOWN_KEYS and not _reserved(k)]
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]}")
@@ -196,25 +203,16 @@ def generate_problem(kind, seed, n, d, r, m_i, xi, m, T):
     return problems.gen_lrmc_data(n, m, T, r, seed)
 
 
-def build_problem(cfg):
-    if cfg.problem_kind == "bundle":
-        return problems.load_dataset(cfg.problem_path)
-    return generate_problem(cfg.problem_kind, cfg.problem_seed,
-                            cfg.n, cfg.d, cfg.r, cfg.m_i, cfg.xi, cfg.m, cfg.T)
-
-
-def build_mixing(cfg, n):
-    graph = network.build_graph(cfg.topology, n, seed=cfg.graph_seed, p=cfg.p)
-    return network.metropolis_weights(graph)
-
-
 def build_run(cfg):
-    """Problem, mixing matrix, initial system, and run config from an
-    experiment config; validates cross-references (n in particular)."""
-    problem, truth = build_problem(cfg)
-    if cfg.problem_kind != "bundle" and problem.n_agents != cfg.n:
-        raise ConfigError("problem.n is inconsistent with the generated problem")
-    mixing = build_mixing(cfg, problem.n_agents)
+    """Problem, ground truth, mixing matrix, initial system, and run config
+    from an experiment config."""
+    if cfg.problem_kind == "bundle":
+        problem, truth = problems.load_dataset(cfg.problem_path)
+    else:
+        problem, truth = generate_problem(cfg.problem_kind, cfg.problem_seed,
+                                          cfg.n, cfg.d, cfg.r, cfg.m_i, cfg.xi, cfg.m, cfg.T)
+    graph = network.build_graph(cfg.topology, problem.n_agents, seed=cfg.graph_seed, p=cfg.p)
+    mixing = network.metropolis_weights(graph)
     schedule = algorithms.StepSchedule()
     if cfg.algo_kind != "consensus":
         if not cfg.beta > 0:
@@ -232,19 +230,14 @@ def build_run(cfg):
     return problem, truth, mixing, system, run_cfg
 
 
-def _write_manifest(path, cfg, summary):
-    lines = [f"{k}={v}" for k, v in cfg.echo]
-    lines += [f"{k}={v}" for k, v in summary.items()]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def run_experiment(cfg, no_clobber=False):
     """Build, run, and persist one experiment; returns the trace path.
 
-    Output files are overwritten unless ``no_clobber`` is set.  Aborted runs
-    (projection tube violations) persist their partial trace, record the
-    abort iteration and agent in the manifest, and re-raise.
+    Output files are overwritten unless ``no_clobber`` is set.  A completed
+    or stopped run and an aborted one (see :class:`TubeViolationError`)
+    write the same two files: the trace records taken and the manifest,
+    whose summary gives the final record or the abort iteration and agent.
+    An aborted run then re-raises.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     trace_path = os.path.join(cfg.out_dir, "trace.csv")
@@ -253,41 +246,32 @@ def run_experiment(cfg, no_clobber=False):
         raise ConfigError(f"output exists in {cfg.out_dir} and --no-clobber is set")
     problem, truth, mixing, system, run_cfg = build_run(cfg)
     started = time.monotonic_ns()
+    trace = aborted = None
     try:
         trace = algorithms.run(run_cfg, problem, mixing, system, truth)
     except TubeViolationError as exc:
-        metrics.write_trace(trace_path, exc.records)
-        _write_manifest(
-            manifest_path,
-            cfg,
-            {
-                "status": "aborted",
-                "abort.iteration": exc.iteration,
-                "abort.agent": "" if exc.agent is None else exc.agent,
-                "timing.wall_ns": time.monotonic_ns() - started,
-                "network.sigma2": metrics.fmt_float(mixing.sigma2),
-            },
-        )
-        raise
-    metrics.write_trace(trace_path, trace.records)
-    final = trace.records[-1]
-    summary = {
-        "status": trace.status,
-        "final.iter": final.iter,
-        "final.consensus_error": metrics.fmt_float(final.consensus_error),
-        "final.objective_at_mean": metrics.fmt_float(final.objective_at_mean),
-        "final.grad_norm_sq": metrics.fmt_float(final.grad_norm_sq),
-        "final.dist_to_truth": metrics.fmt_float(final.dist_to_truth),
-        "timing.wall_ns": time.monotonic_ns() - started,
-        "network.sigma2": metrics.fmt_float(mixing.sigma2),
-    }
-    if cfg.agent_dist and truth is not None and truth.x_star is not None:
+        aborted = exc
+    if trace is None:
+        summary = {"status": "aborted", "abort.iteration": aborted.iteration,
+                   "abort.agent": "" if aborted.agent is None else aborted.agent}
+    else:
+        final = trace.records[-1]
+        summary = {"status": trace.status, "final.iter": final.iter}
+        summary.update((f"final.{name}", metrics.fmt_float(getattr(final, name))) for name in
+                       ("consensus_error", "objective_at_mean", "grad_norm_sq", "dist_to_truth"))
+    summary["timing.wall_ns"] = time.monotonic_ns() - started
+    summary["network.sigma2"] = metrics.fmt_float(mixing.sigma2)
+    if trace is not None and cfg.agent_dist and truth.x_star is not None:
         dists = [metrics.subspace_distance(x, truth.x_star) for x in trace.system.points]
         summary["final.agent_dist_mean"] = metrics.fmt_float(np.mean(dists))
-    if cfg.save_points:
+    if trace is not None and cfg.save_points:
         for i, x in enumerate(trace.system.points):
             problems.save_matrix(os.path.join(cfg.out_dir, f"points_{i}.csv"), x)
-    _write_manifest(manifest_path, cfg, summary)
+    metrics.write_trace(trace_path, aborted.records if trace is None else trace.records)
+    with open(manifest_path, "w") as fh:
+        fh.write("".join(f"{k}={v}\n" for k, v in (*cfg.echo, *summary.items())))
+    if aborted is not None:
+        raise aborted
     return trace_path
 
 
@@ -297,12 +281,12 @@ def run_experiment(cfg, no_clobber=False):
 
 @dataclass
 class SweepCandidate:
+    """One step-size candidate and its final trace record (None if it aborted)."""
+
     beta: float
     status: str
     score: float
-    final_objective: float | None
-    final_grad_norm_sq: float | None
-    final_consensus_error: float | None
+    final: metrics.TraceRecord | None
 
 
 @dataclass
@@ -315,40 +299,34 @@ class SweepResult:
 def sweep(cfg, betas, metric="grad_norm_sq", workers=1):
     """Run every step-size candidate under identical seeds and pick the best.
 
-    ``metric`` scores the final trace record ('objective' or
+    The problem, mixing matrix and initial system are built once and shared
+    by every candidate (a run mutates none of them); only the step schedule
+    differs.  ``metric`` scores the final trace record ('objective' or
     'grad_norm_sq'); ties break toward the smaller candidate.  Candidates
-    whose runs abort score +inf.  Candidates may execute on a thread pool;
-    results are merged in candidate order, so the outcome does not depend
-    on the worker count.
+    whose runs abort score +inf.  Candidates execute on a pool of
+    ``workers`` threads; results are merged in candidate order, so the
+    outcome does not depend on the worker count.
     """
     if not betas:
         raise InvalidInputError("need at least one step-size candidate")
     if metric not in ("objective", "grad_norm_sq"):
         raise InvalidInputError(f"unknown sweep metric {metric!r}")
+    if workers < 1:
+        raise InvalidInputError(f"workers must be positive, got {workers}")
+    problem, truth, mixing, system, run_cfg = build_run(cfg)
 
     def run_candidate(beta):
-        problem, truth, mixing, system, run_cfg = build_run(cfg)
-        run_cfg = replace(run_cfg, schedule=algorithms.StepSchedule(cfg.schedule, beta))
+        schedule = algorithms.StepSchedule(cfg.schedule, beta)
         try:
-            trace = algorithms.run(run_cfg, problem, mixing, system, truth)
+            trace = algorithms.run(replace(run_cfg, schedule=schedule), problem, mixing, system, truth)
         except TubeViolationError:
-            return SweepCandidate(beta, "aborted", float("inf"), None, None, None)
+            return SweepCandidate(beta, "aborted", float("inf"), None)
         final = trace.records[-1]
         score = final.objective_at_mean if metric == "objective" else final.grad_norm_sq
-        return SweepCandidate(
-            beta,
-            trace.status,
-            float(score),
-            final.objective_at_mean,
-            final.grad_norm_sq,
-            final.consensus_error,
-        )
+        return SweepCandidate(beta, trace.status, float(score), final)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            candidates = list(pool.map(run_candidate, betas))
-    else:
-        candidates = [run_candidate(b) for b in betas]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        candidates = list(pool.map(run_candidate, betas))
     best = min(candidates, key=lambda c: (c.score, c.beta))
     return SweepResult(best.beta, metric, candidates)
 
@@ -357,8 +335,9 @@ def write_sweep_summary(path, result):
     with open(path, "w") as fh:
         fh.write("beta,status,score,final_objective,final_grad_norm_sq,final_consensus_error\n")
         for c in result.candidates:
-            floats = (c.score, c.final_objective, c.final_grad_norm_sq, c.final_consensus_error)
-            row = [metrics.fmt_float(c.beta), c.status] + [metrics.fmt_float(v) for v in floats]
+            finals = [getattr(c.final, name, None)  # None for an aborted candidate
+                      for name in ("objective_at_mean", "grad_norm_sq", "consensus_error")]
+            row = [metrics.fmt_float(c.beta), c.status] + [metrics.fmt_float(v) for v in (c.score, *finals)]
             fh.write(",".join(row) + "\n")
 
 

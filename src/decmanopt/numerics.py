@@ -17,7 +17,7 @@ its ``block`` attribute.
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularityError
+from .errors import InvalidInputError, NonFiniteError, SingularityError
 
 # Relative eigenvalue threshold below which a matrix is treated as rank
 # deficient / not positive definite.
@@ -56,7 +56,7 @@ def require_finite(m):
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         bad = ~np.isfinite(m).all(axis=(-2, -1)) if m.ndim == 3 else True
-        reject_blocks(InvalidInputError, bad, "matrix contains NaN or Inf")
+        reject_blocks(NonFiniteError, bad, "matrix contains NaN or Inf")
     return m
 
 

@@ -109,7 +109,7 @@ class LrmcProblem:
 
     kind = LRMC
 
-    def __init__(self, agents, spec=None):
+    def __init__(self, agents, spec):
         self.data = []
         self._maskf = []
         for a, mask in agents:
@@ -119,11 +119,8 @@ class LrmcProblem:
                 raise InvalidInputError("observed block and mask shapes differ")
             self.data.append((np.where(mask, a, 0.0), mask))
             self._maskf.append(mask.astype(float))
-        rows = {a.shape[0] for a, _ in self.data}
-        if len(rows) != 1:
-            raise InvalidInputError("all agent blocks must share the row count")
-        if spec is None:
-            raise InvalidInputError("LrmcProblem requires a manifold spec")
+        if {a.shape[0] for a, _ in self.data} != {spec.d}:
+            raise InvalidInputError(f"all agent blocks must have {spec.d} rows")
         self.spec = spec
 
     @property
@@ -372,6 +369,26 @@ def save_dataset(dirpath, problem, truth, seed, xi=None, nu=None):
         fh.write("\n")
 
 
+def _load_mask(path, shape):
+    """A boolean mask of ``shape`` from a two-column index list, which is
+    empty for an agent with no observations."""
+    mask = np.zeros(shape, dtype=bool)
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                ii, jj = (int(tok) for tok in line.split(","))
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: bad index pair {line!r}") from exc
+            if not (0 <= ii < shape[0] and 0 <= jj < shape[1]):
+                raise FormatError(f"{path}:{lineno}: index pair {line!r} out of range for a "
+                                  f"{shape[0]}x{shape[1]} block")
+            mask[ii, jj] = True
+    return mask
+
+
 def load_dataset(dirpath):
     """Load a bundle written by :func:`save_dataset`; inverse up to dtype."""
     meta_path = os.path.join(dirpath, "meta.json")
@@ -396,18 +413,7 @@ def load_dataset(dirpath):
         pairs = []
         for i in range(n):
             a = load_matrix(os.path.join(dirpath, f"A_{i}.csv"))
-            mask = np.zeros(a.shape, dtype=bool)
-            with open(os.path.join(dirpath, f"mask_{i}.csv")) as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        ii, jj = (int(tok) for tok in line.split(","))
-                    except ValueError as exc:
-                        raise FormatError(f"mask_{i}.csv:{lineno}: bad index pair") from exc
-                    mask[ii, jj] = True
-            pairs.append((a, mask))
+            pairs.append((a, _load_mask(os.path.join(dirpath, f"mask_{i}.csv"), a.shape)))
         problem = LrmcProblem(pairs, manifolds.stiefel(meta["d"], meta["r"]))
         return problem, truth
     raise FormatError(f"{meta_path}: unknown problem kind {kind!r}")

@@ -37,6 +37,12 @@ def test_step_schedule():
         StepSchedule("linear", 1.0)
 
 
+@pytest.mark.parametrize("beta", [np.inf, -np.inf, np.nan])
+def test_step_schedule_rejects_nonfinite_beta(beta):
+    with pytest.raises(InvalidInputError, match="finite"):
+        StepSchedule("diminishing", beta)
+
+
 def test_init_identical_zero_consensus():
     problem, _ = gen_pca_data(8, 50, 10, 5, 0.8, seed=0)
     system = init_system(problem, "identical", seed=1)
@@ -157,7 +163,8 @@ def test_tracking_identity_holds_on_any_graph(gen, topology, n, seed):
 
 def test_b_stiefel_dprgt_nan_gradient_names_agent():
     # Agent 2's local gradient turns NaN in the last step, after which no
-    # projection would see it: the gradient map itself must reject it.
+    # projection would see it: the gradient map itself must reject it, and
+    # the run aborts at that iteration naming the agent.
     class NanAfterInitProblem(GevpProblem):
         calls = 0
 
@@ -173,9 +180,10 @@ def test_b_stiefel_dprgt_nan_gradient_names_agent():
     m = metropolis_weights(build_graph("ring", 4))
     system = init_system(problem, "identical", seed=41)
     cfg = RunConfig(algorithm="dprgt", schedule=StepSchedule("constant", 0.1), max_iters=1)
-    with pytest.raises(InvalidInputError) as info:
+    with pytest.raises(TubeViolationError) as info:
         run(cfg, nan_problem, m, system)
-    assert info.value.block == 2
+    assert info.value.agent == 2
+    assert info.value.iteration == 1
 
 
 def test_dprgt_requires_tracker():

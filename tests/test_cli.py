@@ -96,6 +96,19 @@ def test_run_abort_exit_code(tmp_path, monkeypatch):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_overflow_aborts_with_partial_outputs(tmp_path, capsys):
+    # The first step's B-polar gram overflows at this step size: the run
+    # aborts like a tube violation and still writes its outputs.
+    cfg = write_cfg(tmp_path, **{"problem.kind": "gevp", "algo.beta": "1e200", "run.K": "20"})
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "iteration 1, agent 0" in capsys.readouterr().err
+    manifest = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    assert {"status=aborted", "abort.iteration=1", "abort.agent=0"} <= set(manifest)
+    trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in trace[1:]] == ["0"]
+
+
 def test_gen_data_then_run_bundle(tmp_path):
     bundle = tmp_path / "bundle"
     assert main(["gen-data", "--kind", "pca", "--out", str(bundle), "--n", "4",

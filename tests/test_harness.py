@@ -1,6 +1,8 @@
 import ast
 import math
 import os
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decmanopt import algorithms, harness, problems
-from decmanopt.errors import ConfigError, TubeViolationError
+from decmanopt.errors import ConfigError, InvalidInputError, TubeViolationError
 from decmanopt.network import build_graph, consensus_radius_t, metropolis_weights
 
 
@@ -60,14 +62,8 @@ metrics.agent_dist=false
 out.dir={out}
 out.points=false
 """
+# A bundle takes its sizes from its meta.json, so its echo omits problem.n .. T.
 BUNDLE_ECHO = """problem.kind=bundle
-problem.n=8
-problem.d=10
-problem.r=5
-problem.m_i=1000
-problem.xi=0.8
-problem.m=100
-problem.T=1000
 problem.seed=0
 graph.topology=er
 graph.p=0.7
@@ -108,6 +104,32 @@ def test_manifest_echo_matches_golden(tmp_path):
     harness.run_experiment(cfg)
     manifest = (out / "manifest.txt").read_text()
     assert manifest.split("status=")[0] == BUNDLE_ECHO.format(out=out, bundle=bundle)
+
+
+def test_bundle_manifest_reruns_to_identical_trace(tmp_path):
+    bundle = tmp_path / "bundle"
+    problem, truth = problems.gen_pca_data(4, 50, 6, 2, 0.8, seed=3)
+    problems.save_dataset(bundle, problem, truth, 3, xi=0.8)
+    cfg = harness.resolve_config({
+        "problem.kind": "bundle", "problem.path": str(bundle), "graph.topology": "ring",
+        "algo.kind": "dprgt", "algo.beta": "0.3", "run.K": "20", "run.seed": "5",
+        "out.dir": str(tmp_path / "first"),
+    })
+    trace = Path(harness.run_experiment(cfg)).read_bytes()
+    manifest = tmp_path / "first" / "manifest.txt"
+    # size keys, as manifests written before they left the echo carry, are
+    # accepted and ignored
+    for name, sizes in (("again", []), ("old", ["problem.n=8", "problem.d=10", "problem.r=5"])):
+        again = harness.load_config(manifest, [f"out.dir={tmp_path / name}", *sizes])
+        assert (again.n, again.d, again.r) == (None, None, None)
+        assert Path(harness.run_experiment(again)).read_bytes() == trace
+
+
+@pytest.mark.parametrize("key", [row.key for row in harness.CONFIG_KEYS if row.cast is float])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+def test_nonfinite_float_value_names_its_key(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=f"config key {key}: '{value}' is not finite"):
+        small_cfg(tmp_path, **{key: value})
 
 
 _ALWAYS_REQUIRED = ("problem.kind", "graph.topology", "algo.kind", "run.K", "run.seed", "out.dir")
@@ -332,6 +354,64 @@ def test_sweep_aborted_candidate_scores_inf(tmp_path, monkeypatch):
     assert res.best_beta == 0.5
     aborted = [c for c in res.candidates if c.beta == 2.0][0]
     assert aborted.status == "aborted" and math.isinf(aborted.score)
+
+
+def test_sweep_builds_once(tmp_path, monkeypatch):
+    built = []
+    real_build = harness.build_run
+    monkeypatch.setattr(harness, "build_run", lambda cfg: built.append(cfg) or real_build(cfg))
+    res = harness.sweep(small_cfg(tmp_path, **{"run.K": 5}), [0.1, 0.2, 0.4], workers=2)
+    assert len(built) == 1 and len(res.candidates) == 3
+
+
+def test_sweep_rejects_nonpositive_workers(tmp_path):
+    with pytest.raises(InvalidInputError, match="workers"):
+        harness.sweep(small_cfg(tmp_path), [0.1], workers=0)
+
+
+_SWEEP_PROBLEMS = {
+    "pca": {"problem.n": "3", "problem.d": "5", "problem.r": "2", "problem.m_i": "20"},
+    "gevp": {"problem.n": "3", "problem.d": "5", "problem.r": "2", "problem.m_i": "20"},
+    "lrmc": {"problem.n": "3", "problem.m": "8", "problem.T": "12", "problem.r": "2"},
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the diverging runs
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(sorted(_SWEEP_PROBLEMS)), algo=st.sampled_from(["dprgd", "dprgt"]),
+       seed=st.integers(0, 2**16), betas=st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=2),
+       diverging=st.sampled_from([1e9, 1e200]))
+def test_sweep_candidates_equal_fresh_runs_for_any_worker_count(kind, algo, seed, betas,
+                                                                diverging):
+    # The shared build and the pool change nothing: every candidate, the
+    # diverging one included (1e200 aborts on gevp and some lrmc draws),
+    # matches a run on a build of its own.
+    cfg = harness.resolve_config({
+        "problem.kind": kind, **_SWEEP_PROBLEMS[kind], "problem.seed": str(seed),
+        "graph.topology": "ring", "algo.kind": algo, "algo.beta": "0.1", "run.K": "6",
+        "run.seed": str(seed + 1), "run.trace_every": "4", "out.dir": "unused",
+    })
+    betas = [*betas, diverging]
+    fresh = []
+    for beta in betas:
+        problem, truth, mixing, system, run_cfg = harness.build_run(cfg)
+        run_cfg = replace(run_cfg, schedule=algorithms.StepSchedule(cfg.schedule, beta))
+        try:
+            trace = algorithms.run(run_cfg, problem, mixing, system, truth)
+        except TubeViolationError:
+            fresh.append(("aborted", math.inf, None))
+            continue
+        final = trace.records[-1]
+        fresh.append((trace.status, final.grad_norm_sq, replace(final, wall_ns=None)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches inside the shared-build runs
+    try:
+        for workers in (1, 3):
+            res = harness.sweep(cfg, betas, workers=workers)
+            assert [(c.status, c.score, c.final and replace(c.final, wall_ns=None))
+                    for c in res.candidates] == fresh
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_sweep_summary_file(tmp_path):

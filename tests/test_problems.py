@@ -356,6 +356,39 @@ def test_dataset_bundle_round_trip(tmp_path, kind):
             assert np.array_equal(problem.spec.b, loaded.spec.b)
 
 
+def _small_lrmc_bundle(path):
+    problem, truth = gen_lrmc_data(2, 6, 8, 2, seed=0)
+    save_dataset(path, problem, truth, seed=0, nu=lrmc_mask_density(6, 8, 2))
+    return problem
+
+
+@pytest.mark.parametrize("line", ["-1,0", "99,0", "0,-1", "0,4", "1.5,0", "0"])
+def test_lrmc_bundle_rejects_bad_mask_index(tmp_path, line):
+    _small_lrmc_bundle(tmp_path)
+    mask = tmp_path / "mask_0.csv"
+    mask.write_text(line + "\n" + mask.read_text())
+    with pytest.raises(FormatError, match=r"mask_0\.csv:1:"):
+        load_dataset(tmp_path)
+
+
+def test_lrmc_bundle_rejects_blocks_unlike_its_row_count(tmp_path):
+    import json
+
+    _small_lrmc_bundle(tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    (tmp_path / "meta.json").write_text(json.dumps({**meta, "d": 5}))
+    with pytest.raises(InvalidInputError, match="5 rows"):
+        load_dataset(tmp_path)
+
+
+def test_lrmc_bundle_agent_without_observations_loads(tmp_path):
+    problem = _small_lrmc_bundle(tmp_path)
+    (tmp_path / "mask_1.csv").write_text("")
+    loaded, _ = load_dataset(tmp_path)
+    assert not loaded.data[1][1].any()
+    assert np.array_equal(loaded.data[0][1], problem.data[0][1])
+
+
 def test_dataset_manifest_keys(tmp_path):
     import json
 
