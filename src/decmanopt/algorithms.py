@@ -211,6 +211,7 @@ def _measure(k, alpha, system, problem, truth, t_start):
     )
 
 
+@np.errstate(all="ignore")
 def run(cfg, problem, mixing, system, truth=None):
     """Execute ``cfg.max_iters`` steps, recording metrics at iteration 0,
     every ``cfg.trace_every`` iterations and at the final iterate.
@@ -219,7 +220,9 @@ def run(cfg, problem, mixing, system, truth=None):
     When a rank-deficient projection target or stacked mean, or a
     non-finite state or gradient, stops the iteration, the run raises
     :class:`TubeViolationError` carrying the iteration index, the offending
-    agent, and the records so far.
+    agent, and the records so far (numpy's floating-point warnings are
+    silenced: the error reports the failure).  The run is ``stopped`` when
+    ``cfg.stop_eps`` is met before the last iteration, else ``completed``.
     """
     if problem.n_agents != system.n or mixing.n != system.n:
         raise InvalidInputError("problem, mixing matrix, and system disagree on the agent count")
@@ -247,7 +250,7 @@ def run(cfg, problem, mixing, system, truth=None):
                 records.append(rec)
                 eps = cfg.stop_eps
                 if eps is not None and rec.consensus_error <= eps and rec.grad_norm_sq <= eps:
-                    status = "completed" if 0 < k == cfg.max_iters else "stopped"
+                    status = "stopped" if k < cfg.max_iters else "completed"
                     break
     except (SingularityError, NonFiniteError) as exc:
         err = TubeViolationError(k, getattr(exc, "block", None), str(exc))

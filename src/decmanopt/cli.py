@@ -73,7 +73,6 @@ def _build_parser():
     checkp.add_argument("--r", type=int, default=5)
     checkp.add_argument("--trials", type=int, default=1000)
     checkp.add_argument("--noise-scale", type=float, default=None)
-    checkp.add_argument("--gamma", type=float, default=0.5)
     checkp.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -132,10 +131,10 @@ def _cmd_rate_study(args):
 
 def _cmd_check(args):
     if args.manifold == "stiefel":
-        spec = manifolds.stiefel(args.d, args.r, gamma=args.gamma)
+        spec = manifolds.stiefel(args.d, args.r)
     else:
         b = problems.gevp_constraint(args.d, np.random.default_rng(args.seed))
-        spec = manifolds.generalized_stiefel(args.d, args.r, b, gamma=args.gamma)
+        spec = manifolds.generalized_stiefel(args.d, args.r, b)
     report = manifolds.check_projection_lipschitz(
         spec, args.trials, noise_scale=args.noise_scale, seed=args.seed
     )

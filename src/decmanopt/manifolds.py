@@ -1,14 +1,12 @@
 """Compact matrix submanifolds: Stiefel and generalized (B-)Stiefel.
 
-A :class:`ManifoldSpec` bundles the constraint (x'x = I or x'Bx = I), the
-ambient shape, and the proximal-smoothness radius parameter ``gamma`` used
-by the consensus theory.  Points and tangent vectors are plain ndarrays;
-feasibility and tangency are checked through residual helpers instead of
-wrapper types.
-
-Each manifold carries one metric, used for every norm, inner product,
-tangent projection and gradient: the Frobenius metric on Stiefel, and the
-B-metric <u, v>_B = tr(u'Bv) on generalized Stiefel.
+A :class:`ManifoldSpec` is its ambient shape d-by-r and its constraint
+matrix: ``b`` None gives Stiefel, x'x = I, with the Frobenius metric; an SPD
+``b`` gives generalized Stiefel, x'Bx = I, with the B-metric
+<u, v>_B = tr(u'Bv).  That one metric serves every norm, inner product,
+tangent projection and gradient.  Points and tangent vectors are plain
+ndarrays; feasibility and tangency are checked through residual helpers
+instead of wrapper types.
 
 * Stiefel: the projection is the polar factor u @ v.T of the thin SVD, the
   nearest point in Frobenius norm; the tangent projection is
@@ -17,7 +15,8 @@ B-metric <u, v>_B = tr(u'Bv) on generalized Stiefel.
   y @ (y'By)^(-1/2) = B^(-1/2) polar(B^(1/2) y), the nearest point in the
   B-norm; the tangent projection is u - x sym(x'Bu), orthogonal in the
   B-metric.  x -> B^(1/2) x is an isometry onto Stiefel in that metric, so
-  the Stiefel theory, and its gamma = 0.5, carry over.
+  the Stiefel theory, and its proximal-smoothness constant gamma = 0.5,
+  carry over unchanged.
 
 The Riemannian gradient of f is the tangent projection of the metric's
 gradient: of the Euclidean gradient on Stiefel, of B^(-1) times it on
@@ -45,40 +44,28 @@ from .numerics import (
     thin_svd,
 )
 
-STIEFEL = "stiefel"
-GENERALIZED_STIEFEL = "generalized_stiefel"
-
 # Constraint residual allowed for a point to count as feasible.
 FEAS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class ManifoldSpec:
-    """A Stiefel or generalized Stiefel manifold of d-by-r matrices.
+    """Stiefel (``b`` None) or generalized Stiefel (SPD ``b``) d-by-r matrices."""
 
-    ``gamma`` parameterizes the proximal-smoothness radius in the
-    manifold's metric (the manifold is treated as 2*gamma-proximally
-    smooth).  The certified value is gamma = 0.5 on both manifolds, since
-    generalized Stiefel in the B-metric is an isometric copy of Stiefel.
-    """
+    # The manifold is 2*gamma-proximally smooth in its metric.  0.5 is the
+    # certified Stiefel value, and generalized Stiefel in the B-metric is an
+    # isometric copy of Stiefel, so it holds on both.
+    gamma = 0.5
 
-    kind: str
     d: int
     r: int
     b: np.ndarray | None = field(default=None, repr=False)
-    gamma: float = 0.5
     b_inv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in (STIEFEL, GENERALIZED_STIEFEL):
-            raise InvalidInputError(f"unknown manifold kind {self.kind!r}")
         if not (1 <= self.r <= self.d):
             raise InvalidInputError(f"need 1 <= r <= d, got d={self.d}, r={self.r}")
-        if self.gamma <= 0:
-            raise InvalidInputError("gamma must be positive")
-        if self.kind == GENERALIZED_STIEFEL:
-            if self.b is None:
-                raise InvalidInputError("generalized Stiefel requires the SPD matrix b")
+        if self.b is not None:
             b = np.asarray(self.b, dtype=float)
             if b.shape != (self.d, self.d):
                 raise InvalidInputError(f"b must be {self.d}x{self.d}, got {b.shape}")
@@ -87,16 +74,16 @@ class ManifoldSpec:
                 raise InvalidInputError("b must be symmetric positive definite")
             object.__setattr__(self, "b", 0.5 * (b + b.T))
             object.__setattr__(self, "b_inv", (v / w) @ v.T)
-        elif self.b is not None:
-            raise InvalidInputError("b is only meaningful for the generalized Stiefel manifold")
+
+    def _metric(self, u):
+        """The metric operator applied to u: u itself, or B u."""
+        return u if self.b is None else self.b @ u
 
     # -- feasibility -------------------------------------------------------
 
     def gram(self, x):
         """x'x (Stiefel) or x'Bx (generalized Stiefel)."""
-        if self.kind == STIEFEL:
-            return np.swapaxes(x, -1, -2) @ x
-        return np.swapaxes(x, -1, -2) @ (self.b @ x)
+        return np.swapaxes(x, -1, -2) @ self._metric(x)
 
     def feasibility_residual(self, x):
         """Frobenius distance of the constraint Gram matrix from the identity."""
@@ -107,13 +94,11 @@ class ManifoldSpec:
     def inner(self, u, v):
         """<u, v> summed over every entry (and every block of a stack):
         sum(u * v) on Stiefel, tr(u'Bv) on generalized Stiefel."""
-        if self.kind == STIEFEL:
-            return float(np.sum(u * v))
-        return float(np.sum(u * (self.b @ v)))
+        return float(np.sum(u * self._metric(v)))
 
     def norm(self, u):
         """The metric norm of a matrix, or of each block of a stack."""
-        if self.kind == STIEFEL:
+        if self.b is None:
             # One matrix takes numpy's dot-product path, a stack the
             # reduction path; each is what Stiefel runs have always used.
             return np.linalg.norm(u, axis=(-2, -1) if np.ndim(u) == 3 else None)
@@ -129,7 +114,7 @@ class ManifoldSpec:
         deficient; it then lies outside the tube where the projection is
         single valued.
         """
-        if self.kind == STIEFEL:
+        if self.b is None:
             u, s, v = thin_svd(y)
             reject_blocks(SingularityError, s[..., -1] <= RANK_RTOL * s[..., 0],
                           "projection target is rank deficient")
@@ -139,10 +124,7 @@ class ManifoldSpec:
     def tangent_project(self, x, u):
         """Metric-orthogonal projection of u onto the tangent space at x, or
         blockwise for stacks x and u."""
-        xt = np.swapaxes(x, -1, -2)
-        if self.kind == STIEFEL:
-            return u - x @ sym(xt @ u)
-        return u - x @ sym(xt @ (self.b @ u))
+        return u - x @ sym(np.swapaxes(x, -1, -2) @ self._metric(u))
 
     # The iteration loop calls the maps on agent stacks by these names, which
     # keeps their time apart from the single-matrix calls in per-layer traces.
@@ -153,7 +135,7 @@ class ManifoldSpec:
         """The Riemannian gradient at x (or at each block of a stack) of a
         function with Euclidean gradient ``egrad``, which must be finite."""
         egrad = require_finite(egrad)
-        if self.kind == GENERALIZED_STIEFEL:
+        if self.b is not None:
             egrad = self.b_inv @ egrad
         if np.ndim(x) == 3:  # an agent stack, traced under the stack name
             return self.tangent_project_stack(x, egrad)
@@ -175,16 +157,15 @@ class ManifoldSpec:
         return v
 
 
-def stiefel(d, r, gamma=0.5):
+def stiefel(d, r):
     """The Stiefel manifold St(d, r) = {x : x'x = I_r}."""
-    return ManifoldSpec(STIEFEL, d, r, gamma=gamma)
+    return ManifoldSpec(d, r)
 
 
-def generalized_stiefel(d, r, b, gamma=0.5):
+def generalized_stiefel(d, r, b):
     """The generalized Stiefel manifold {x : x'Bx = I_r} for SPD B, with the
-    B-metric.  gamma = 0.5 is certified in the B-norm, as on Stiefel.
-    """
-    return ManifoldSpec(GENERALIZED_STIEFEL, d, r, b=np.asarray(b, dtype=float), gamma=gamma)
+    B-metric."""
+    return ManifoldSpec(d, r, np.asarray(b, dtype=float))
 
 
 @dataclass

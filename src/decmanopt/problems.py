@@ -95,7 +95,7 @@ class GevpProblem(_QuadraticTraceProblem):
     _sign = 1.0
 
     def __init__(self, agents, spec):
-        if spec.kind != manifolds.GENERALIZED_STIEFEL:
+        if spec.b is None:
             raise InvalidInputError("GevpProblem requires a generalized Stiefel spec")
         super().__init__(agents, spec)
 
@@ -113,8 +113,10 @@ class LrmcProblem:
         self.data = []
         self._maskf = []
         for a, mask in agents:
-            a = np.asarray(a, dtype=float)
-            mask = np.asarray(mask, dtype=bool)
+            # Column-major, like the generator's column slices: the layout picks
+            # the masked gram's BLAS path, so a loaded bundle gives the same bits.
+            a = np.asfortranarray(a, dtype=float)
+            mask = np.asfortranarray(mask, dtype=bool)
             if a.shape != mask.shape:
                 raise InvalidInputError("observed block and mask shapes differ")
             self.data.append((np.where(mask, a, 0.0), mask))

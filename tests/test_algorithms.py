@@ -217,6 +217,19 @@ def test_run_huge_eps_stops_immediately():
     assert len(trace.records) == 1 and trace.records[0].iter == 0
 
 
+def test_run_without_iterations_completes_when_eps_is_met():
+    # With K=0 no iteration is left to skip, so meeting eps at record 0 is
+    # a completed run.
+    problem, truth = gen_pca_data(4, 50, 8, 3, 0.8, seed=19)
+    m = metropolis_weights(build_graph("ring", 4))
+    system = init_system(problem, "identical", seed=20)
+    cfg = RunConfig(algorithm="dprgd", schedule=StepSchedule("constant", 0.1),
+                    max_iters=0, stop_eps=1e6)
+    trace = run(cfg, problem, m, system, truth)
+    assert trace.status == "completed"
+    assert len(trace.records) == 1 and trace.records[0].iter == 0
+
+
 def test_run_trace_row_count():
     problem, truth = gen_pca_data(4, 50, 8, 3, 0.8, seed=21)
     m = metropolis_weights(build_graph("ring", 4))

@@ -96,10 +96,11 @@ def test_run_abort_exit_code(tmp_path, monkeypatch):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_overflow_aborts_with_partial_outputs(tmp_path, capsys):
     # The first step's B-polar gram overflows at this step size: the run
-    # aborts like a tube violation and still writes its outputs.
+    # aborts like a tube violation, with no numpy warning, and still writes
+    # its outputs.
     cfg = write_cfg(tmp_path, **{"problem.kind": "gevp", "algo.beta": "1e200", "run.K": "20"})
     assert main(["run", "--config", str(cfg)]) == 2
     assert "iteration 1, agent 0" in capsys.readouterr().err

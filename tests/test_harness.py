@@ -376,7 +376,6 @@ _SWEEP_PROBLEMS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the diverging runs
 @settings(max_examples=20, deadline=None)
 @given(kind=st.sampled_from(sorted(_SWEEP_PROBLEMS)), algo=st.sampled_from(["dprgd", "dprgt"]),
        seed=st.integers(0, 2**16), betas=st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=2),

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decmanopt.errors import SingularityError
 from decmanopt.manifolds import check_projection_lipschitz, generalized_stiefel, stiefel
 from decmanopt.numerics import sym
-from decmanopt.problems import GevpProblem, PcaProblem
+from decmanopt.problems import GevpProblem, PcaProblem, gevp_constraint
 
 
 def random_spd(d, rng, spread=2.0):
@@ -256,6 +258,24 @@ def test_b_stiefel_projection_lemma():
     assert max(ratios) < 3.0 * min(ratios)
     report = check_projection_lipschitz(spec, trials=1000, seed=0)
     assert report.max_ratio_lip <= 2.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_projection_idempotent_and_2_lipschitz_within_gamma(shape, b_stiefel, seed):
+    # The projection lemma's two properties, in the metric norm, on Stiefel
+    # and on B-Stiefel with the GEVP testbed's B.
+    d, r = shape
+    rng = np.random.default_rng(seed)
+    spec = generalized_stiefel(d, r, gevp_constraint(d, rng)) if b_stiefel else stiefel(d, r)
+    x = spec.random_point(rng)
+    u, up = rng.standard_normal((2, d, r))
+    u *= rng.uniform(0.0, spec.gamma) / spec.norm(u)
+    up *= rng.uniform(0.0, spec.gamma) / spec.norm(up)
+    p, pp = spec.project(x + u), spec.project(x + up)
+    assert spec.norm(spec.project(p) - p) <= 1e-12
+    assert spec.norm(p - pp) <= 2.0 * spec.norm(u - up)
 
 
 def test_generalized_projection_feasible():
