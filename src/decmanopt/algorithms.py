@@ -190,8 +190,8 @@ class Trace:
 def _tracking_diagnostics(system):
     # last_grads holds grad f_i(x_i) at the current points, cached by
     # init_tracker / dprgt_step, so the gap costs no gradient evaluation.
-    s_hat = np.mean(system.tracker, axis=0)
-    gap = float(np.linalg.norm(s_hat - np.mean(system.last_grads, axis=0)))
+    s_hat = np.add.reduce(system.tracker, axis=0) / system.n
+    gap = float(np.linalg.norm(s_hat - np.add.reduce(system.last_grads, axis=0) / system.n))
     return float(np.sum(s_hat * s_hat)), gap
 
 

@@ -83,7 +83,7 @@ class ManifoldSpec:
 
     def gram(self, x):
         """x'x (Stiefel) or x'Bx (generalized Stiefel)."""
-        return np.swapaxes(x, -1, -2) @ self._metric(x)
+        return x.mT @ self._metric(x)
 
     def feasibility_residual(self, x):
         """Frobenius distance of the constraint Gram matrix from the identity."""
@@ -118,13 +118,13 @@ class ManifoldSpec:
             u, s, v = thin_svd(y)
             reject_blocks(SingularityError, s[..., -1] <= RANK_RTOL * s[..., 0],
                           "projection target is rank deficient")
-            return u @ np.swapaxes(v, -1, -2)
+            return u @ v.mT
         return y @ spd_inverse_sqrt(self.gram(y))
 
     def tangent_project(self, x, u):
         """Metric-orthogonal projection of u onto the tangent space at x, or
         blockwise for stacks x and u."""
-        return u - x @ sym(np.swapaxes(x, -1, -2) @ self._metric(u))
+        return u - x @ sym(x.mT @ self._metric(u))
 
     # The iteration loop calls the maps on agent stacks by these names, which
     # keeps their time apart from the single-matrix calls in per-layer traces.

@@ -49,7 +49,7 @@ def induced_mean(spec, points):
     Raises :class:`decmanopt.errors.SingularityError` when xhat falls outside
     the tube where the projection is single valued.
     """
-    x_hat = np.mean(points, axis=0)
+    x_hat = np.add.reduce(points, axis=0) / points.shape[0]
     return x_hat, spec.project(x_hat)
 
 

@@ -150,15 +150,15 @@ def metropolis_weights(g):
 def mix(m, xs, steps):
     """Apply t gossip rounds to stacked states: y_i = sum_j (W^t)_ij x_j.
 
-    ``xs`` has the agent index first, shape (n, ...).  Implemented as
-    t = ``steps`` successive single-round mixes; W^t is never formed densely.
-    Linear in xs and exactly average preserving (up to roundoff).
+    ``xs`` has the agent index first, shape (n, ...).  Each of the t = ``steps``
+    rounds is one GEMM, W @ X, on the stack flattened to X of shape (n, -1);
+    W^t is never formed densely.  Linear, and average preserving up to roundoff.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.shape[0] != m.n:
         raise InvalidInputError(f"expected {m.n} blocks, got {xs.shape[0]}")
     for _ in range(steps):
-        xs = np.tensordot(m.w, xs, axes=(1, 0))
+        xs = (m.w @ xs.reshape(m.n, -1)).reshape(xs.shape)
     return xs
 
 

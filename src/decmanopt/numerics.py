@@ -29,7 +29,7 @@ SYM_RTOL = 1e-8
 
 def sym(a):
     """The symmetric part of a matrix or of every block of a stack."""
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.mT)
 
 
 def reject_blocks(error, bad, message):
@@ -54,7 +54,7 @@ def require_finite(m):
     """``m`` as a float array; rejects NaN or Inf, naming the first bad
     block of a stack."""
     m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         bad = ~np.isfinite(m).all(axis=(-2, -1)) if m.ndim == 3 else True
         reject_blocks(NonFiniteError, bad, "matrix contains NaN or Inf")
     return m
@@ -72,7 +72,7 @@ def thin_svd(m):
     if m.ndim not in (2, 3) or m.shape[-2] < m.shape[-1]:
         raise InvalidInputError(f"thin_svd expects p >= q, got shape {m.shape}")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return u, s, np.swapaxes(vt, -1, -2)
+    return u, s, vt.mT
 
 
 def sym_eig(m):
@@ -86,7 +86,7 @@ def sym_eig(m):
     if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
         raise InvalidInputError(f"sym_eig expects square matrices, got shape {m.shape}")
     # Squared Frobenius norms per block: ||m - m'||^2 > SYM_RTOL^2 ||m||^2.
-    d = m - np.swapaxes(m, -1, -2)
+    d = m - m.mT
     asym_sq = np.einsum("...ij,...ij->...", d, d)
     scale_sq = np.einsum("...ij,...ij->...", m, m)
     reject_blocks(InvalidInputError, asym_sq > SYM_RTOL**2 * scale_sq,
@@ -100,5 +100,5 @@ def spd_inverse_sqrt(m):
     w, v = sym_eig(m)
     reject_blocks(SingularityError, (w[..., -1] <= 0) | (w[..., 0] <= RANK_RTOL * w[..., -1]),
                   "matrix is not positive definite within tolerance")
-    return (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return (v / np.sqrt(w)[..., None, :]) @ v.mT
 

@@ -271,6 +271,8 @@ def gen_lrmc_data(n, m, t, r, seed):
     does not divide T).  The column space of L is the optimum and the
     exactly-rank-r data makes the optimal value zero.
     """
+    if not (1 <= r <= m):
+        raise InvalidInputError(f"need 1 <= r <= m, got m={m}, r={r}")
     if not (1 <= n <= t):
         raise InvalidInputError("need 1 <= n <= T")
     rng = np.random.default_rng(seed)

@@ -130,6 +130,13 @@ def test_gen_data_other_kinds(tmp_path):
     assert (lrmc / "mask_0.csv").exists()
 
 
+@pytest.mark.parametrize("r", ["5", "0"])
+def test_gen_data_lrmc_rank_out_of_range_names_m_and_r(tmp_path, capsys, r):
+    assert main(["gen-data", "--kind", "lrmc", "--out", str(tmp_path / "b"), "--m", "3",
+                 "--r", r]) == 1
+    assert capsys.readouterr().err == f"error: need 1 <= r <= m, got m=3, r={r}\n"
+
+
 def test_sweep_writes_summary(tmp_path, capsys):
     cfg = write_cfg(tmp_path, **{"run.K": 20})
     assert main(["sweep", "--config", str(cfg), "--betas", "0.2,0.5", "--workers", "2"]) == 0

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import os
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decmanopt import algorithms, harness, problems
+from decmanopt import algorithms, harness, metrics, problems
 from decmanopt.errors import ConfigError, InvalidInputError, TubeViolationError
 from decmanopt.network import build_graph, consensus_radius_t, metropolis_weights
 
@@ -291,6 +292,44 @@ def test_run_experiment_deterministic_bytes(tmp_path):
     first = open(harness.run_experiment(cfg), "rb").read()
     second = open(harness.run_experiment(cfg), "rb").read()
     assert first == second
+
+
+# Small DPRGT runs whose output bytes are pinned by test_golden_run_bytes.
+_GOLDEN_RUNS = {
+    "gevp_er": ({"problem.kind": "gevp", "problem.n": "6", "problem.d": "8", "problem.r": "3",
+                 "problem.m_i": "60", "graph.topology": "er", "graph.p": "0.6",
+                 "graph.seed": "3", "algo.beta": "2.0"}, {
+        "trace.csv": "0ec808196cdf15ed3eee565cce069724ca5c47eead7a92c213e88b0397531a23",
+        "tracking_gap": "c03d1ec2ba99e7bb9b28f22ba1d5977441b97a08b9e3de9185fbc1cd1f8d30aa",
+        "s_hat_norm_sq": "a856ff85810d712e802ebb866e9896ca8ec874e98a0f8a90398b2b4dd8d5eab8"}),
+    "lrmc_ring": ({"problem.kind": "lrmc", "problem.n": "4", "problem.m": "30", "problem.T": "80",
+                   "problem.r": "3", "graph.topology": "ring", "algo.beta": "2e-3"}, {
+        "trace.csv": "303e85e94d9189603e118c756b4b989e1cd88854a996d5150ee86d27343de098",
+        "tracking_gap": "c71423f2821194f7350494e11f5ccf4c8aebfec67d6b8c2b32dd9ba8160701f6",
+        "s_hat_norm_sq": "5d0e603ca3a4c1b6046db0630e8984b1ce98f9614a524258aaa742dc164fb1e7"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
+def test_golden_run_bytes(tmp_path, name):
+    """A change that claims no behaviour change keeps these bytes.
+
+    The digests were made with numpy 2.4.6 on OpenBLAS 0.3.31
+    (scipy-openblas64, DYNAMIC_ARCH) on an x86-64 Xeon with AVX-512, Python
+    3.11.7.  Another BLAS build or CPU kernel may round differently; then
+    recapture them from the parent commit on that machine.
+    """
+    raw, digests = _GOLDEN_RUNS[name]
+    cfg = harness.resolve_config({**raw, "problem.seed": "7", "algo.kind": "dprgt",
+                                  "run.K": "200", "run.seed": "11", "run.trace_every": "10",
+                                  "out.dir": str(tmp_path)})
+    problem, truth, mixing, system, run_cfg = harness.build_run(cfg)
+    trace = algorithms.run(run_cfg, problem, mixing, system, truth)
+    metrics.write_trace(tmp_path / "trace.csv", trace.records)
+    got = {"trace.csv": (tmp_path / "trace.csv").read_bytes(),
+           "tracking_gap": trace.tracking_gap.tobytes(),
+           "s_hat_norm_sq": trace.s_hat_norm_sq.tobytes()}
+    assert {k: hashlib.sha256(b).hexdigest() for k, b in got.items()} == digests
 
 
 def test_manifest_reruns_to_identical_trace(tmp_path):

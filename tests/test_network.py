@@ -100,17 +100,18 @@ def test_mixing_matrix_derives_n_and_sigma2():
         MixingMatrix(w, sigma2=0.5)  # derived, so not settable
 
 
-_GRAPHS = st.builds(
-    build_graph,
-    st.sampled_from(["ring", "complete", "er"]),
-    st.integers(2, 12),
-    seed=st.integers(0, 2**32 - 1),
-    p=st.floats(0.0, 1.0, exclude_min=True),
-)
+def _graphs(max_n):
+    return st.builds(
+        build_graph,
+        st.sampled_from(["ring", "complete", "er"]),
+        st.integers(2, max_n),
+        seed=st.integers(0, 2**32 - 1),
+        p=st.floats(0.0, 1.0, exclude_min=True),
+    )
 
 
 @settings(max_examples=60, deadline=None)
-@given(_GRAPHS, st.integers(1, 3), st.integers(0, 2**32 - 1))
+@given(_graphs(12), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_derived_mixing_matrix_properties(g, t, seed):
     m = metropolis_weights(g)
     assert abs(m.sigma2 - scipy.linalg.svdvals(m.w)[1]) <= 1e-12
@@ -118,6 +119,43 @@ def test_derived_mixing_matrix_properties(g, t, seed):
     y = mix(m, x, t)
     scale = max(1.0, float(np.max(np.abs(x))))
     assert np.max(np.abs(y.mean(axis=0) - x.mean(axis=0))) <= 1e-12 * scale
+
+
+@st.composite
+def _agent_stacks(draw):
+    """A Metropolis matrix on 2..8 agents and an agent stack of shape (n,),
+    (n, d) or (n, d, r), possibly a non-contiguous view."""
+    g = draw(_graphs(8))
+    shape = (g.n, *draw(st.lists(st.integers(1, 5), max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["contiguous", "strided", "transposed"]))
+    if layout == "strided":  # every second entry along every axis
+        xs = rng.standard_normal(tuple(2 * s for s in shape))[(slice(None, None, 2),) * len(shape)]
+    elif layout == "transposed" and len(shape) == 3:
+        xs = rng.standard_normal((g.n, shape[2], shape[1])).swapaxes(1, 2)
+    else:
+        xs = rng.standard_normal(shape)
+    return metropolis_weights(g), xs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_agent_stacks(), st.integers(0, 3))
+def test_mix_equals_successive_tensordot_bitwise(stack, t):
+    m, xs = stack
+    expected = xs
+    for _ in range(t):
+        expected = np.tensordot(m.w, expected, axes=(1, 0))
+    y = mix(m, xs, t)
+    assert y.shape == xs.shape
+    assert np.array_equal(y, expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_agent_stacks())
+def test_reduce_over_agents_equals_mean_bitwise(stack):
+    # algorithms and metrics average agent stacks this way, without np.mean's wrapper
+    _, xs = stack
+    assert np.array_equal(np.add.reduce(xs, axis=0) / xs.shape[0], np.mean(xs, axis=0))
 
 
 def test_mix_consensus_fixed_point():
