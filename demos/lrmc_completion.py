@@ -2,9 +2,16 @@
 
 Each agent holds a column block of a partially observed rank-5 matrix and
 fits the block coefficients by masked least squares at every evaluation;
-the shared column-space frame is optimized with gradient tracking.  The
-completion objective decays toward zero (the data is exactly rank 5) and
-the frame approaches the planted column space.
+the shared column-space frame is optimized with gradient tracking.
+
+The completion objective falls from 170 to 11 over 1500 iterations, but
+the frame stays far from the planted column space: the subspace distance
+d_s goes 2.88, 2.27, 1.97 at iterations 0, 300, 1500 (at most sqrt(10) for
+rank 5).  The generator observes each entry with probability
+r (m + T - r) / (m T), 5.4% here, so the observed entries about equal the
+r (m + T - r) degrees of freedom of a rank-5 matrix.  At this oversampling
+factor of 1 the planted subspace need not be recoverable: the demo shows
+the observed entries being fitted, not the matrix being completed.
 """
 
 import decmanopt as dm

@@ -20,7 +20,6 @@ from .algorithms import (
 )
 from .errors import (
     ConfigError,
-    FormatError,
     InvalidInputError,
     SingularityError,
     TubeViolationError,
@@ -56,9 +55,6 @@ from .problems import (
     gen_gevp_data,
     gen_lrmc_data,
     gen_pca_data,
-    load_dataset,
-    load_matrix,
-    save_dataset,
     save_matrix,
 )
 

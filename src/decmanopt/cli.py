@@ -1,10 +1,9 @@
 """Command-line entry point.
 
-Subcommands mirror the harness: ``gen-data`` writes dataset bundles,
-``run`` executes one experiment from a config file (any key overridable
-with ``--set key=value``), ``sweep`` grid-searches the step size,
-``rate-study`` measures consensus contraction, and ``check`` runs the
-projection inequality probes.
+Subcommands mirror the harness: ``run`` executes one experiment from a
+config file (any key overridable with ``--set key=value``), ``sweep``
+grid-searches the step size, ``rate-study`` measures consensus
+contraction, and ``check`` runs the projection inequality probes.
 
 Exit codes: 0 on success, 1 on configuration or validation errors, 2 when
 a run aborts (a projection tube violation or a non-finite state).
@@ -19,7 +18,7 @@ import sys
 import numpy as np
 
 from . import harness, manifolds, problems
-from .errors import ConfigError, FormatError, InvalidInputError, TubeViolationError
+from .errors import ConfigError, InvalidInputError, TubeViolationError
 from .metrics import fmt_float
 
 
@@ -34,19 +33,6 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser():
     parser = _Parser(prog="decmanopt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    gen = sub.add_parser("gen-data", parents=[], help="generate a synthetic dataset bundle")
-    gen.add_argument("--kind", required=True, choices=["pca", "gevp", "lrmc"])
-    gen.add_argument("--out", required=True, help="bundle directory (created if missing)")
-    # each size flag shares its type and default with the problem.* config key
-    keys = {row.attr: row for row in harness.CONFIG_KEYS}
-    for attr, text in (("n", "agent count"), ("d", "ambient columns (pca/gevp)"),
-                       ("r", "frame columns"), ("m_i", "rows per agent (pca/gevp)"),
-                       ("xi", "singular value decay (pca/gevp)"), ("m", "matrix rows (lrmc)"),
-                       ("T", "matrix columns (lrmc)")):
-        gen.add_argument("--" + attr.replace("_", "-"), type=keys[attr].cast,
-                         default=keys[attr].default, help=text)
-    gen.add_argument("--seed", type=int, default=0)
 
     def add_run_flags(p):
         p.add_argument("--config", help="config file of flat dotted keys")
@@ -75,18 +61,6 @@ def _build_parser():
     checkp.add_argument("--noise-scale", type=float, default=None)
     checkp.add_argument("--seed", type=int, default=0)
     return parser
-
-
-def _cmd_gen_data(args):
-    problem, truth = harness.generate_problem(args.kind, args.seed, args.n, args.d, args.r,
-                                              args.m_i, args.xi, args.m, args.T)
-    if args.kind == "lrmc":
-        nu = problems.lrmc_mask_density(args.m, args.T, args.r)
-        problems.save_dataset(args.out, problem, truth, args.seed, nu=nu)
-    else:
-        problems.save_dataset(args.out, problem, truth, args.seed, xi=args.xi)
-    print(f"wrote {args.kind} bundle to {args.out}", file=sys.stderr)
-    return 0
 
 
 def _cmd_run(args):
@@ -153,7 +127,6 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 1
     handler = {
-        "gen-data": _cmd_gen_data,
         "run": _cmd_run,
         "sweep": _cmd_sweep,
         "rate-study": _cmd_rate_study,
@@ -161,7 +134,7 @@ def main(argv=None):
     }[args.command]
     try:
         return handler(args)
-    except (ConfigError, FormatError, InvalidInputError, FileNotFoundError) as exc:
+    except (ConfigError, InvalidInputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TubeViolationError as exc:

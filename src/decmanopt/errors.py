@@ -13,10 +13,6 @@ class SingularityError(ArithmeticError):
     """A factorization target is (numerically) rank deficient or not positive definite."""
 
 
-class FormatError(ValueError):
-    """A file does not parse under the declared format."""
-
-
 class ConfigError(ValueError):
     """An experiment configuration is missing or inconsistent; names the offending key."""
 

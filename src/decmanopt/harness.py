@@ -62,7 +62,7 @@ class ConfigKey(NamedTuple):
 
 # Row order is the manifest echo order.
 CONFIG_KEYS = (
-    ConfigKey("problem.kind", "problem_kind", str, choices=("pca", "gevp", "lrmc", "bundle")),
+    ConfigKey("problem.kind", "problem_kind", str, choices=("pca", "gevp", "lrmc")),
     ConfigKey("problem.n", "n", int, 8),
     ConfigKey("problem.d", "d", int, 10),
     ConfigKey("problem.r", "r", int, 5),
@@ -70,8 +70,7 @@ CONFIG_KEYS = (
     ConfigKey("problem.xi", "xi", float, 0.8),
     ConfigKey("problem.m", "m", int, 100),
     ConfigKey("problem.T", "T", int, 1000),
-    ConfigKey("problem.seed", "problem_seed", int,
-              lambda done: 0 if done["problem_kind"] == "bundle" else _REQUIRED),
+    ConfigKey("problem.seed", "problem_seed", int),
     ConfigKey("graph.topology", "topology", str, choices=("ring", "complete", "er")),
     ConfigKey("graph.p", "p", float, 0.3),
     ConfigKey("graph.seed", "graph_seed", int,
@@ -89,13 +88,9 @@ CONFIG_KEYS = (
     ConfigKey("metrics.agent_dist", "agent_dist", _bool, False),
     ConfigKey("out.dir", "out_dir", str),
     ConfigKey("out.points", "save_points", _bool, False),
-    ConfigKey("problem.path", "problem_path", str,
-              lambda done: _REQUIRED if done["problem_kind"] == "bundle" else None),
     ConfigKey("run.eps", "eps", float, None),
 )
 _KNOWN_KEYS = frozenset(row.key for row in CONFIG_KEYS)
-# The problem.* sizes, which a bundle takes from its meta.json instead.
-_SIZE_ATTRS = ("n", "d", "r", "m_i", "xi", "m", "T")
 
 ExperimentConfig = make_dataclass(
     "ExperimentConfig",
@@ -169,9 +164,6 @@ def resolve_config(raw):
     for row in CONFIG_KEYS:
         default = row.default(done) if callable(row.default) else row.default
         done[row.attr] = _resolve(raw, row, default)
-    if done["problem_kind"] == "bundle":
-        # accepted, so older bundle manifests still resolve, but not echoed
-        done.update(dict.fromkeys(_SIZE_ATTRS, None))
     unknown = [k for k in raw if k not in _KNOWN_KEYS and not _reserved(k)]
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]}")
@@ -193,24 +185,15 @@ def load_config(path=None, overrides=()):
 # experiment assembly
 
 
-def generate_problem(kind, seed, n, d, r, m_i, xi, m, T):
-    """A seeded synthetic pca, gevp or lrmc instance and its ground truth;
-    the sizes are the ``problem.*`` config keys of the same names."""
-    if kind == "pca":
-        return problems.gen_pca_data(n, m_i, d, r, xi, seed)
-    if kind == "gevp":
-        return problems.gen_gevp_data(n, m_i, d, r, xi, seed)
-    return problems.gen_lrmc_data(n, m, T, r, seed)
-
-
 def build_run(cfg):
     """Problem, ground truth, mixing matrix, initial system, and run config
-    from an experiment config."""
-    if cfg.problem_kind == "bundle":
-        problem, truth = problems.load_dataset(cfg.problem_path)
+    from an experiment config; the problem is generated from its seed."""
+    if cfg.problem_kind == "pca":
+        problem, truth = problems.gen_pca_data(cfg.n, cfg.m_i, cfg.d, cfg.r, cfg.xi, cfg.problem_seed)
+    elif cfg.problem_kind == "gevp":
+        problem, truth = problems.gen_gevp_data(cfg.n, cfg.m_i, cfg.d, cfg.r, cfg.xi, cfg.problem_seed)
     else:
-        problem, truth = generate_problem(cfg.problem_kind, cfg.problem_seed,
-                                          cfg.n, cfg.d, cfg.r, cfg.m_i, cfg.xi, cfg.m, cfg.T)
+        problem, truth = problems.gen_lrmc_data(cfg.n, cfg.m, cfg.T, cfg.r, cfg.problem_seed)
     graph = network.build_graph(cfg.topology, problem.n_agents, seed=cfg.graph_seed, p=cfg.p)
     mixing = network.metropolis_weights(graph)
     schedule = algorithms.StepSchedule()

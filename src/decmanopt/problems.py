@@ -14,23 +14,15 @@ Riemannian gradients are obtained through the problem's manifold spec.
   with V_i(X) the per-column minimum-norm least-squares fit to the
   observed entries.
 
-Generators are deterministic given their seed.  A dataset bundle is a
-directory holding a meta.json manifest plus per-agent CSV matrices, so
-desk experiments can be regenerated or shipped.
+Generators are deterministic given their seed, so a seed is the whole
+dataset: every instance is regenerated, never read from disk.
 """
-
-import json
-import os
 
 import numpy as np
 
 from . import manifolds
-from .errors import FormatError, InvalidInputError
+from .errors import InvalidInputError
 from .numerics import thin_svd
-
-PCA = "pca"
-GEVP = "gevp"
-LRMC = "lrmc"
 
 
 class GroundTruth:
@@ -84,14 +76,12 @@ class _QuadraticTraceProblem:
 class PcaProblem(_QuadraticTraceProblem):
     """Variance maximization over orthonormal frames, written as minimization."""
 
-    kind = PCA
     _sign = -1.0
 
 
 class GevpProblem(_QuadraticTraceProblem):
     """Smallest generalized eigenpairs of (sum A_i'A_i, B) via B-orthonormal frames."""
 
-    kind = GEVP
     _sign = 1.0
 
     def __init__(self, agents, spec):
@@ -107,16 +97,12 @@ class LrmcProblem:
     entries stored as zero) and a boolean mask of the same shape.
     """
 
-    kind = LRMC
-
     def __init__(self, agents, spec):
         self.data = []
         self._maskf = []
         for a, mask in agents:
-            # Column-major, like the generator's column slices: the layout picks
-            # the masked gram's BLAS path, so a loaded bundle gives the same bits.
-            a = np.asfortranarray(a, dtype=float)
-            mask = np.asfortranarray(mask, dtype=bool)
+            a = np.asarray(a, dtype=float)
+            mask = np.asarray(mask, dtype=bool)
             if a.shape != mask.shape:
                 raise InvalidInputError("observed block and mask shapes differ")
             self.data.append((np.where(mask, a, 0.0), mask))
@@ -190,6 +176,16 @@ def _split_rows_randomly(a, n, rng):
     return [a[perm[i * block:(i + 1) * block]] for i in range(n)]
 
 
+def _check_spectral_sizes(n, m_i, d, r, xi):
+    """The PCA and GEVP generators' preconditions, checked before any draw."""
+    if n * m_i < d:
+        raise InvalidInputError("need n * m_i >= d")
+    if not (1 <= r <= d):
+        raise InvalidInputError(f"need 1 <= r <= d, got d={d}, r={r}")
+    if not (0.0 < xi <= 1.0):
+        raise InvalidInputError("xi must lie in (0, 1]")
+
+
 def _spectral_data(n, m_i, d, xi, rng):
     """Row data whose singular values are the controlled sequence xi^j."""
     b0 = rng.standard_normal((n * m_i, d))
@@ -205,10 +201,7 @@ def gen_pca_data(n, m_i, d, r, xi, seed):
     -(1/2n) sum_{j<=r} xi^(2j) follows because the agent blocks partition
     the rows of the assembled matrix.
     """
-    if n * m_i < d:
-        raise InvalidInputError("need n * m_i >= d")
-    if not (0.0 < xi <= 1.0):
-        raise InvalidInputError("xi must lie in (0, 1]")
+    _check_spectral_sizes(n, m_i, d, r, xi)
     rng = np.random.default_rng(seed)
     a, v = _spectral_data(n, m_i, d, xi, rng)
     agents = _split_rows_randomly(a, n, rng)
@@ -240,8 +233,7 @@ def gen_gevp_data(n, m_i, d, r, xi, seed):
     truth is the r smallest generalized eigenpairs of (sum A_i'A_i, B),
     computed by Cholesky reduction to a standard symmetric eigenproblem.
     """
-    if n * m_i < d:
-        raise InvalidInputError("need n * m_i >= d")
+    _check_spectral_sizes(n, m_i, d, r, xi)
     rng = np.random.default_rng(seed)
     a, _ = _spectral_data(n, m_i, d, xi, rng)
     agents = _split_rows_randomly(a, n, rng)
@@ -289,135 +281,14 @@ def gen_lrmc_data(n, m, t, r, seed):
 
 
 # ---------------------------------------------------------------------------
-# CSV matrix files and dataset bundles
+# CSV matrix files
 
 
 def save_matrix(path, a):
     """Write a dense matrix as header-less CSV with shortest round-trip
-    float formatting, so it reads back bitwise through :func:`load_matrix`."""
+    float formatting, so ``np.loadtxt(path, delimiter=",")`` reads it back
+    bitwise."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     with open(path, "w") as fh:
         for row in a:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def load_matrix(path):
-    """Read a dense CSV matrix.
-
-    Parse failures report the offending line number; ragged rows are
-    rejected.
-    """
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: unparseable entry in {line!r}") from exc
-            if len(rows[-1]) != len(rows[0]):
-                raise FormatError(
-                    f"{path}:{lineno}: row has {len(rows[-1])} entries, expected {len(rows[0])}"
-                )
-    if not rows:
-        raise FormatError(f"{path}: no rows")
-    return np.array(rows, dtype=float)
-
-
-def _mask_to_indices(mask):
-    ii, jj = np.nonzero(mask)
-    return np.stack([ii, jj], axis=1)
-
-
-def save_dataset(dirpath, problem, truth, seed, xi=None, nu=None):
-    """Write a dataset bundle: meta.json plus per-agent matrix files.
-
-    The manifest always carries the keys kind, n, d, r, m_i, seed, xi, nu
-    (null where not applicable).  For completion problems d is the ambient
-    row count and m_i the per-agent column count; masks are stored as
-    two-column index lists.
-    """
-    os.makedirs(dirpath, exist_ok=True)
-    meta = {
-        "kind": problem.kind,
-        "n": problem.n_agents,
-        "d": problem.spec.d,
-        "r": problem.spec.r,
-        "seed": seed,
-        "xi": xi,
-        "nu": nu,
-        "f_star": None if truth is None else truth.f_star,
-    }
-    if problem.kind in (PCA, GEVP):
-        meta["m_i"] = problem.agents[0].shape[0]
-        for i, a in enumerate(problem.agents):
-            save_matrix(os.path.join(dirpath, f"A_{i}.csv"), a)
-        if problem.kind == GEVP:
-            save_matrix(os.path.join(dirpath, "B.csv"), problem.spec.b)
-    elif problem.kind == LRMC:
-        meta["m_i"] = problem.data[0][0].shape[1]
-        for i, (a, mask) in enumerate(problem.data):
-            save_matrix(os.path.join(dirpath, f"A_{i}.csv"), a)
-            idx = _mask_to_indices(mask)
-            with open(os.path.join(dirpath, f"mask_{i}.csv"), "w") as fh:
-                for row in idx:
-                    fh.write(f"{row[0]},{row[1]}\n")
-    else:
-        raise InvalidInputError(f"cannot serialize problem kind {problem.kind!r}")
-    if truth is not None and truth.x_star is not None:
-        save_matrix(os.path.join(dirpath, "x_star.csv"), truth.x_star)
-    with open(os.path.join(dirpath, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _load_mask(path, shape):
-    """A boolean mask of ``shape`` from a two-column index list, which is
-    empty for an agent with no observations."""
-    mask = np.zeros(shape, dtype=bool)
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                ii, jj = (int(tok) for tok in line.split(","))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad index pair {line!r}") from exc
-            if not (0 <= ii < shape[0] and 0 <= jj < shape[1]):
-                raise FormatError(f"{path}:{lineno}: index pair {line!r} out of range for a "
-                                  f"{shape[0]}x{shape[1]} block")
-            mask[ii, jj] = True
-    return mask
-
-
-def load_dataset(dirpath):
-    """Load a bundle written by :func:`save_dataset`; inverse up to dtype."""
-    meta_path = os.path.join(dirpath, "meta.json")
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{meta_path}: {exc}") from exc
-    kind, n = meta["kind"], meta["n"]
-    x_star_path = os.path.join(dirpath, "x_star.csv")
-    x_star = load_matrix(x_star_path) if os.path.exists(x_star_path) else None
-    truth = GroundTruth(x_star, meta.get("f_star"))
-    if kind in (PCA, GEVP):
-        agents = [load_matrix(os.path.join(dirpath, f"A_{i}.csv")) for i in range(n)]
-        if kind == PCA:
-            problem = PcaProblem(agents, manifolds.stiefel(meta["d"], meta["r"]))
-        else:
-            b = load_matrix(os.path.join(dirpath, "B.csv"))
-            problem = GevpProblem(agents, manifolds.generalized_stiefel(meta["d"], meta["r"], b))
-        return problem, truth
-    if kind == LRMC:
-        pairs = []
-        for i in range(n):
-            a = load_matrix(os.path.join(dirpath, f"A_{i}.csv"))
-            pairs.append((a, _load_mask(os.path.join(dirpath, f"mask_{i}.csv"), a.shape)))
-        problem = LrmcProblem(pairs, manifolds.stiefel(meta["d"], meta["r"]))
-        return problem, truth
-    raise FormatError(f"{meta_path}: unknown problem kind {kind!r}")

@@ -3,8 +3,8 @@ import sys
 
 import pytest
 
-from decmanopt import algorithms, harness
-from decmanopt.cli import _build_parser, main
+from decmanopt import algorithms
+from decmanopt.cli import main
 from decmanopt.errors import TubeViolationError
 
 
@@ -43,7 +43,7 @@ def test_unknown_flag_exits_one_naming_token(capsys):
 
 
 def test_help_exits_zero():
-    for cmd in ("gen-data", "run", "sweep", "rate-study", "check"):
+    for cmd in ("run", "sweep", "rate-study", "check"):
         with pytest.raises(SystemExit) as info:
             main([cmd, "--help"])
         assert info.value.code == 0
@@ -110,31 +110,36 @@ def test_run_overflow_aborts_with_partial_outputs(tmp_path, capsys):
     assert [line.split(",")[0] for line in trace[1:]] == ["0"]
 
 
-def test_gen_data_then_run_bundle(tmp_path):
-    bundle = tmp_path / "bundle"
-    assert main(["gen-data", "--kind", "pca", "--out", str(bundle), "--n", "4",
-                 "--d", "6", "--r", "2", "--m-i", "50", "--seed", "3"]) == 0
-    assert (bundle / "meta.json").exists()
-    cfg = write_cfg(tmp_path, **{"problem.kind": "bundle", "problem.path": str(bundle)})
-    assert main(["run", "--config", str(cfg)]) == 0
-
-
-def test_gen_data_other_kinds(tmp_path):
-    gevp = tmp_path / "gevp"
-    assert main(["gen-data", "--kind", "gevp", "--out", str(gevp), "--n", "3",
-                 "--d", "5", "--r", "2", "--m-i", "20", "--seed", "3"]) == 0
-    assert (gevp / "B.csv").exists()
-    lrmc = tmp_path / "lrmc"
-    assert main(["gen-data", "--kind", "lrmc", "--out", str(lrmc), "--n", "3",
-                 "--m", "10", "--T", "12", "--r", "2", "--seed", "3"]) == 0
-    assert (lrmc / "mask_0.csv").exists()
-
-
 @pytest.mark.parametrize("r", ["5", "0"])
-def test_gen_data_lrmc_rank_out_of_range_names_m_and_r(tmp_path, capsys, r):
-    assert main(["gen-data", "--kind", "lrmc", "--out", str(tmp_path / "b"), "--m", "3",
-                 "--r", r]) == 1
+def test_run_lrmc_rank_out_of_range_names_m_and_r(tmp_path, capsys, r):
+    cfg = write_cfg(tmp_path)
+    assert main(["run", "--config", str(cfg), "--set", "problem.kind=lrmc",
+                 "--set", "problem.m=3", "--set", f"problem.r={r}"]) == 1
     assert capsys.readouterr().err == f"error: need 1 <= r <= m, got m=3, r={r}\n"
+
+
+@pytest.mark.parametrize("sets, message", [
+    (["problem.d=0", "problem.r=1"], "need 1 <= r <= d, got d=0, r=1"),
+    (["problem.xi=2"], "xi must lie in (0, 1]"),
+    (["problem.xi=0"], "xi must lie in (0, 1]"),
+], ids=["d0", "xi2", "xi0"])
+def test_run_gevp_rejects_bad_sizes_like_pca(tmp_path, capsys, sets, message):
+    cfg = write_cfg(tmp_path)
+    for kind in ("pca", "gevp"):
+        args = ["run", "--config", str(cfg), "--set", f"problem.kind={kind}"]
+        assert main(args + [a for s in sets for a in ("--set", s)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
+def test_dataset_bundles_are_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["gen-data", "--kind", "pca", "--out", str(tmp_path / "b")])
+    assert info.value.code == 1
+    capsys.readouterr()
+    cfg = write_cfg(tmp_path, **{"problem.kind": "bundle"})
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: config key problem.kind: 'bundle'")
 
 
 def test_sweep_writes_summary(tmp_path, capsys):
@@ -170,14 +175,6 @@ def test_check_generalized(capsys):
 def test_check_rejects_nonpositive_noise_scale(capsys, scale):
     assert main(["check", "--trials", "5", "--noise-scale", scale]) == 1
     assert "error: noise_scale" in capsys.readouterr().err
-
-
-def test_gen_data_defaults_are_the_config_defaults():
-    args = _build_parser().parse_args(["gen-data", "--kind", "pca", "--out", "x"])
-    defaults = {row.key: row.default for row in harness.CONFIG_KEYS}
-    for dest in ("n", "d", "r", "m_i", "xi", "m", "T"):
-        value, default = getattr(args, dest), defaults[f"problem.{dest}"]
-        assert value == default and type(value) is type(default), dest
 
 
 def test_console_entry_point(tmp_path):

@@ -1,0 +1,17 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+# Keyword arguments that keep a demo's smoke run short; the rest run at their defaults.
+SMALL = {"lrmc_completion": {"n": 2, "iters": 10}}
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in DEMOS.glob("*.py")))
+def test_demo_runs(name, capsys):
+    spec = importlib.util.spec_from_file_location(f"demo_{name}", DEMOS / f"{name}.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.main(**SMALL.get(name, {}))
+    assert capsys.readouterr().out.strip()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decmanopt import algorithms, harness, metrics, problems
+from decmanopt import algorithms, harness, metrics
 from decmanopt.errors import ConfigError, InvalidInputError, TubeViolationError
 from decmanopt.network import build_graph, consensus_radius_t, metropolis_weights
 
@@ -63,27 +63,6 @@ metrics.agent_dist=false
 out.dir={out}
 out.points=false
 """
-# A bundle takes its sizes from its meta.json, so its echo omits problem.n .. T.
-BUNDLE_ECHO = """problem.kind=bundle
-problem.seed=0
-graph.topology=er
-graph.p=0.7
-graph.seed=2
-algo.kind=dprgd
-algo.t=1
-algo.schedule=constant
-algo.beta=0.3
-run.K=30
-run.seed=5
-run.trace_every=5
-run.init=identical
-run.delta=0.1
-metrics.agent_dist=true
-out.dir={out}
-out.points=false
-problem.path={bundle}
-run.eps=0.001
-"""
 
 
 def test_manifest_echo_matches_golden(tmp_path):
@@ -91,39 +70,6 @@ def test_manifest_echo_matches_golden(tmp_path):
     harness.run_experiment(cfg)
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
     assert manifest.split("status=")[0] == SMALL_ECHO.format(out=tmp_path / "out")
-
-    bundle = tmp_path / "bundle"
-    problem, truth = problems.gen_pca_data(4, 50, 6, 2, 0.8, seed=3)
-    problems.save_dataset(bundle, problem, truth, 3, xi=0.8)
-    out = tmp_path / "bundle_out"
-    cfg = harness.resolve_config({
-        "problem.kind": "bundle", "problem.path": str(bundle), "graph.topology": "er",
-        "graph.p": "0.7", "graph.seed": "2", "algo.kind": "dprgd", "algo.beta": "0.3",
-        "run.K": "30", "run.seed": "5", "run.eps": "1e-3", "run.trace_every": "5",
-        "metrics.agent_dist": "yes", "out.dir": str(out),
-    })
-    harness.run_experiment(cfg)
-    manifest = (out / "manifest.txt").read_text()
-    assert manifest.split("status=")[0] == BUNDLE_ECHO.format(out=out, bundle=bundle)
-
-
-def test_bundle_manifest_reruns_to_identical_trace(tmp_path):
-    bundle = tmp_path / "bundle"
-    problem, truth = problems.gen_pca_data(4, 50, 6, 2, 0.8, seed=3)
-    problems.save_dataset(bundle, problem, truth, 3, xi=0.8)
-    cfg = harness.resolve_config({
-        "problem.kind": "bundle", "problem.path": str(bundle), "graph.topology": "ring",
-        "algo.kind": "dprgt", "algo.beta": "0.3", "run.K": "20", "run.seed": "5",
-        "out.dir": str(tmp_path / "first"),
-    })
-    trace = Path(harness.run_experiment(cfg)).read_bytes()
-    manifest = tmp_path / "first" / "manifest.txt"
-    # size keys, as manifests written before they left the echo carry, are
-    # accepted and ignored
-    for name, sizes in (("again", []), ("old", ["problem.n=8", "problem.d=10", "problem.r=5"])):
-        again = harness.load_config(manifest, [f"out.dir={tmp_path / name}", *sizes])
-        assert (again.n, again.d, again.r) == (None, None, None)
-        assert Path(harness.run_experiment(again)).read_bytes() == trace
 
 
 @pytest.mark.parametrize("key", [row.key for row in harness.CONFIG_KEYS if row.cast is float])
@@ -133,7 +79,8 @@ def test_nonfinite_float_value_names_its_key(tmp_path, key, value):
         small_cfg(tmp_path, **{key: value})
 
 
-_ALWAYS_REQUIRED = ("problem.kind", "graph.topology", "algo.kind", "run.K", "run.seed", "out.dir")
+_ALWAYS_REQUIRED = ("problem.kind", "problem.seed", "graph.topology", "algo.kind", "run.K",
+                    "run.seed", "out.dir")
 _VALUES = {
     int: st.integers(-10**9, 10**9).map(str),
     float: st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -144,8 +91,6 @@ _BOOL_TEXT = st.sampled_from(["true", "false", "TRUE", "False", "yes", "no", "1"
 
 # When each conditionally required key is required, given the keys before it.
 _REQUIRED_IF = {
-    "problem.path": lambda raw: raw["problem.kind"] == "bundle",
-    "problem.seed": lambda raw: raw["problem.kind"] != "bundle",
     "graph.seed": lambda raw: raw["graph.topology"] == "er",
     "algo.beta": lambda raw: raw["algo.kind"] in ("dprgd", "dprgt"),
 }
@@ -289,8 +234,8 @@ def test_run_experiment_no_clobber(tmp_path):
 
 def test_run_experiment_deterministic_bytes(tmp_path):
     cfg = small_cfg(tmp_path)
-    first = open(harness.run_experiment(cfg), "rb").read()
-    second = open(harness.run_experiment(cfg), "rb").read()
+    first = Path(harness.run_experiment(cfg)).read_bytes()
+    second = Path(harness.run_experiment(cfg)).read_bytes()
     assert first == second
 
 
@@ -334,10 +279,10 @@ def test_golden_run_bytes(tmp_path, name):
 
 def test_manifest_reruns_to_identical_trace(tmp_path):
     cfg = small_cfg(tmp_path)
-    trace_bytes = open(harness.run_experiment(cfg), "rb").read()
+    trace_bytes = Path(harness.run_experiment(cfg)).read_bytes()
     manifest_path = os.path.join(cfg.out_dir, "manifest.txt")
     cfg2 = harness.load_config(manifest_path, overrides=[f"out.dir={tmp_path / 'out2'}"])
-    trace_bytes2 = open(harness.run_experiment(cfg2), "rb").read()
+    trace_bytes2 = Path(harness.run_experiment(cfg2)).read_bytes()
     assert trace_bytes == trace_bytes2
 
 
@@ -536,11 +481,9 @@ def test_agent_dist_flag_reports_per_agent_mean(tmp_path):
 
 
 def test_save_points_writes_final_agent_states(tmp_path):
-    from decmanopt.problems import load_matrix
-
     cfg = small_cfg(tmp_path, **{"out.points": "true", "run.K": 15})
     harness.run_experiment(cfg)
     for i in range(4):
-        x = load_matrix(tmp_path / "out" / f"points_{i}.csv")
+        x = np.loadtxt(tmp_path / "out" / f"points_{i}.csv", delimiter=",")
         assert x.shape == (6, 2)
         assert np.linalg.norm(x.T @ x - np.eye(2)) <= 1e-8

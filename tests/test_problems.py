@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from decmanopt import manifolds
-from decmanopt.errors import FormatError, InvalidInputError
+from decmanopt.errors import InvalidInputError
 from decmanopt.metrics import subspace_distance
 from decmanopt.problems import (
     GevpProblem,
@@ -13,10 +13,7 @@ from decmanopt.problems import (
     gen_lrmc_data,
     gen_pca_data,
     gevp_constraint,
-    load_dataset,
-    load_matrix,
     lrmc_mask_density,
-    save_dataset,
     save_matrix,
 )
 
@@ -300,13 +297,7 @@ def test_gen_lrmc_uneven_split_covers_all_columns():
     assert sum(widths) == 1000 and max(widths) - min(widths) <= 1
 
 
-# -- matrix files and bundles -------------------------------------------------
-
-
-def test_load_matrix_csv_basic(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("1,2\n3,4\n")
-    assert np.array_equal(load_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+# -- matrix files ---------------------------------------------------------------
 
 
 def test_matrix_round_trip_bitwise(tmp_path):
@@ -314,100 +305,10 @@ def test_matrix_round_trip_bitwise(tmp_path):
     a = rng.standard_normal((7, 4))
     path = tmp_path / "m.csv"
     save_matrix(path, a)
-    assert a.tobytes() == load_matrix(path).tobytes()
+    assert a.tobytes() == np.loadtxt(path, delimiter=",").tobytes()
 
 
-def test_load_matrix_errors(tmp_path):
-    ragged = tmp_path / "ragged.csv"
-    ragged.write_text("1,2\n3\n")
-    with pytest.raises(FormatError) as info:
-        load_matrix(ragged)
-    assert ":2:" in str(info.value)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("1,x\n")
-    with pytest.raises(FormatError) as info:
-        load_matrix(bad)
-    assert ":1:" in str(info.value)
-
-
-@pytest.mark.parametrize("kind", ["pca", "gevp", "lrmc"])
-def test_dataset_bundle_round_trip(tmp_path, kind):
-    if kind == "pca":
-        problem, truth = gen_pca_data(3, 20, 6, 2, 0.8, seed=4)
-        save_dataset(tmp_path / kind, problem, truth, seed=4, xi=0.8)
-    elif kind == "gevp":
-        problem, truth = gen_gevp_data(3, 20, 6, 2, 0.8, seed=4)
-        save_dataset(tmp_path / kind, problem, truth, seed=4, xi=0.8)
-    else:
-        problem, truth = gen_lrmc_data(3, 12, 18, 2, seed=4)
-        nu = lrmc_mask_density(12, 18, 2)
-        save_dataset(tmp_path / kind, problem, truth, seed=4, nu=nu)
-    loaded, truth2 = load_dataset(tmp_path / kind)
-    assert loaded.kind == kind
-    assert truth2.f_star == pytest.approx(truth.f_star, abs=1e-15)
-    assert np.array_equal(truth2.x_star, truth.x_star)
-    if kind == "lrmc":
-        for (a1, m1), (a2, m2) in zip(problem.data, loaded.data):
-            assert np.array_equal(a1, a2) and np.array_equal(m1, m2)
-    else:
-        for a1, a2 in zip(problem.agents, loaded.agents):
-            assert np.array_equal(a1, a2)
-        if kind == "gevp":
-            assert np.array_equal(problem.spec.b, loaded.spec.b)
-
-
-def test_lrmc_bundle_reproduces_generated_gradients(tmp_path):
-    # The masked gram's BLAS path depends on the block layout, so a loaded
-    # bundle must hold its blocks as the generator does to give the same bits.
-    problem, truth = gen_lrmc_data(4, 30, 40, 3, seed=2)
-    save_dataset(tmp_path, problem, truth, seed=2, nu=lrmc_mask_density(30, 40, 3))
-    loaded, _ = load_dataset(tmp_path)
-    rng = np.random.default_rng(3)
-    xs = np.stack([problem.spec.random_point(rng) for _ in range(4)])
-    assert loaded.local_grads(xs).tobytes() == problem.local_grads(xs).tobytes()
-    value, grad = problem.mean_value_and_gradient(xs[0])
-    value2, grad2 = loaded.mean_value_and_gradient(xs[0])
-    assert value2 == value and grad2.tobytes() == grad.tobytes()
-
-
-def _small_lrmc_bundle(path):
-    problem, truth = gen_lrmc_data(2, 6, 8, 2, seed=0)
-    save_dataset(path, problem, truth, seed=0, nu=lrmc_mask_density(6, 8, 2))
-    return problem
-
-
-@pytest.mark.parametrize("line", ["-1,0", "99,0", "0,-1", "0,4", "1.5,0", "0"])
-def test_lrmc_bundle_rejects_bad_mask_index(tmp_path, line):
-    _small_lrmc_bundle(tmp_path)
-    mask = tmp_path / "mask_0.csv"
-    mask.write_text(line + "\n" + mask.read_text())
-    with pytest.raises(FormatError, match=r"mask_0\.csv:1:"):
-        load_dataset(tmp_path)
-
-
-def test_lrmc_bundle_rejects_blocks_unlike_its_row_count(tmp_path):
-    import json
-
-    _small_lrmc_bundle(tmp_path)
-    meta = json.loads((tmp_path / "meta.json").read_text())
-    (tmp_path / "meta.json").write_text(json.dumps({**meta, "d": 5}))
+def test_lrmc_rejects_blocks_unlike_its_row_count():
+    problem, _ = gen_lrmc_data(2, 6, 8, 2, seed=0)
     with pytest.raises(InvalidInputError, match="5 rows"):
-        load_dataset(tmp_path)
-
-
-def test_lrmc_bundle_agent_without_observations_loads(tmp_path):
-    problem = _small_lrmc_bundle(tmp_path)
-    (tmp_path / "mask_1.csv").write_text("")
-    loaded, _ = load_dataset(tmp_path)
-    assert not loaded.data[1][1].any()
-    assert np.array_equal(loaded.data[0][1], problem.data[0][1])
-
-
-def test_dataset_manifest_keys(tmp_path):
-    import json
-
-    problem, truth = gen_pca_data(3, 20, 6, 2, 0.8, seed=4)
-    save_dataset(tmp_path / "b", problem, truth, seed=4, xi=0.8)
-    meta = json.loads((tmp_path / "b" / "meta.json").read_text())
-    for key in ("kind", "n", "d", "r", "m_i", "seed", "xi", "nu"):
-        assert key in meta
+        LrmcProblem(problem.data, manifolds.stiefel(5, 2))
