@@ -90,30 +90,89 @@ class GevpProblem(_QuadraticTraceProblem):
         super().__init__(agents, spec)
 
 
+def _inner_fit(a, mask, xs):
+    """V of :meth:`LrmcProblem.inner_solve` for a (k, m, T_i) stack of blocks.
+
+    A function of its own so that the float mask, the grams and the
+    eigendecomposition are freed before the caller allocates the residual.
+    The float mask is formed per call rather than stored, which keeps the
+    problem's resident data to one float stack per width.
+    """
+    m, r = xs.shape[-2:]
+    outer = (xs[..., :, None] * xs[..., None, :]).reshape(*xs.shape[:-2], m, r * r)
+    gram = (mask.mT.astype(float) @ outer).reshape(*a.shape[:-2], a.shape[-1], r, r)
+    w, vecs = np.linalg.eigh(gram)
+    keep = w > 1e-13 * np.maximum(w[..., -1:], 1e-300)
+    winv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+    rhs = a.mT @ xs
+    return (vecs @ (winv[..., None] * (vecs.mT @ rhs[..., None])))[..., 0].mT
+
+
 class LrmcProblem:
     """Column-partitioned low-rank matrix completion on the Stiefel manifold.
 
     Each agent holds an m-by-T_i block of observed entries (unobserved
     entries stored as zero) and a boolean mask of the same shape.
+
+    Agents of equal width T_i are held as one (k, m, T_i) stack per width,
+    so every call makes one batched inner solve per width.  Each block is
+    stored column-major whatever layout it arrives in, so results depend on
+    the blocks' values only, not on the caller's memory layout.  ``data``
+    lists each agent's (block, mask) as views into those stacks.
     """
 
     def __init__(self, agents, spec):
-        self.data = []
-        self._maskf = []
-        for a, mask in agents:
-            a = np.asarray(a, dtype=float)
-            mask = np.asarray(mask, dtype=bool)
-            if a.shape != mask.shape:
-                raise InvalidInputError("observed block and mask shapes differ")
-            self.data.append((np.where(mask, a, 0.0), mask))
-            self._maskf.append(mask.astype(float))
-        if {a.shape[0] for a, _ in self.data} != {spec.d}:
+        agents = [(np.asarray(a, dtype=float), np.asarray(mask, dtype=bool))
+                  for a, mask in agents]
+        if any(a.shape != mask.shape for a, mask in agents):
+            raise InvalidInputError("observed block and mask shapes differ")
+        if {a.shape[0] for a, _ in agents} != {spec.d}:
             raise InvalidInputError(f"all agent blocks must have {spec.d} rows")
         self.spec = spec
+        members = {}
+        for i, (a, _) in enumerate(agents):
+            members.setdefault(a.shape[1], []).append(i)
+        # Per width: (agent indices, masked blocks, masks), each stack
+        # allocated as (k, T_i, m) and viewed as (k, m, T_i); _slot maps an
+        # agent to its (width group, position).
+        self._groups = []
+        self._slot = [None] * len(agents)
+        for width, idx in members.items():
+            shape = (len(idx), width, spec.d)
+            a_st = np.zeros(shape).mT
+            mask_st = np.empty(shape, dtype=bool).mT
+            for j, i in enumerate(idx):
+                a, mask = agents[i]
+                mask_st[j] = mask
+                np.copyto(a_st[j], a, where=mask)
+                self._slot[i] = (len(self._groups), j)
+            self._groups.append((idx, a_st, mask_st))
+        self.data = [(self._groups[g][1][j], self._groups[g][2][j]) for g, j in self._slot]
 
     @property
     def n_agents(self):
         return len(self.data)
+
+    @staticmethod
+    def _solve(group, xs):
+        """Masked residual mask * (x V - a) and inner fit V for a stack of agents.
+
+        ``xs`` holds one point per agent of the stack, or one point shared by
+        all of them.  The residual is a fresh array; the stacks are only read.
+        """
+        _, a, mask = group
+        xs = np.ascontiguousarray(xs)
+        v = _inner_fit(a, mask, xs)
+        res = xs @ v
+        res -= a
+        np.copyto(res, 0.0, where=~mask)
+        return res, v
+
+    def _solve_one(self, i, x):
+        _check_agent(self, i)
+        g, j = self._slot[i]
+        res, v = self._solve([s[j:j + 1] for s in self._groups[g]], x[None])
+        return res[0], v[0]
 
     def inner_solve(self, i, x):
         """Per-column minimum-norm least squares V with x[obs] V[:, c] ~ a[obs, c].
@@ -125,44 +184,38 @@ class LrmcProblem:
         per-column maximum treated as zero; columns with no observations
         get an all-zero column of V.
         """
-        _check_agent(self, i)
-        a, _ = self.data[i]
-        maskf = self._maskf[i]
-        m, r = x.shape
-        outer = (x[:, :, None] * x[:, None, :]).reshape(m, r * r)
-        gram = (maskf.T @ outer).reshape(a.shape[1], r, r)
-        rhs = a.T @ x
-        w, vecs = np.linalg.eigh(gram)
-        keep = w > 1e-13 * np.maximum(w[:, -1:], 1e-300)
-        winv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-        v = vecs @ (winv[:, :, None] * (np.swapaxes(vecs, 1, 2) @ rhs[:, :, None]))
-        return v[:, :, 0].T
-
-    def _residual_and_fit(self, i, x):
-        """The masked residual mask_i * (x V - a) and the inner fit V."""
-        v = self.inner_solve(i, x)
-        a, mask = self.data[i]
-        return np.where(mask, x @ v - a, 0.0), v
+        return self._solve_one(i, x)[1]
 
     def local_value(self, i, x):
-        res, _ = self._residual_and_fit(i, x)
+        res, _ = self._solve_one(i, x)
         return 0.5 * float(np.sum(res * res))
 
     def local_grad(self, i, x):
         """Gradient through the inner minimizer: masked residual times V'."""
-        res, v = self._residual_and_fit(i, x)
+        res, v = self._solve_one(i, x)
         return res @ v.T
 
     def local_grads(self, xs):
-        return np.stack([self.local_grad(i, xs[i]) for i in range(self.n_agents)])
+        out = np.empty(xs.shape)
+        for group in self._groups:
+            res, v = self._solve(group, xs[group[0]])
+            out[group[0]] = res @ v.mT
+            del res, v  # hold one width's residual at a time
+        return out
 
     def mean_value_and_gradient(self, x):
+        values = {}
+        grads = np.empty((self.n_agents,) + x.shape)
+        for group in self._groups:
+            res, v = self._solve(group, x)
+            grads[group[0]] = res @ v.mT
+            values.update(zip(group[0], [0.5 * float(np.sum(ri * ri)) for ri in res]))
+            del res, v
         total = 0.0
         g = np.zeros_like(x)
         for i in range(self.n_agents):
-            res, v = self._residual_and_fit(i, x)
-            total += 0.5 * float(np.sum(res * res))
-            g += res @ v.T
+            total += values[i]
+            g += grads[i]
         return total / self.n_agents, g / self.n_agents
 
 
@@ -270,11 +323,12 @@ def gen_lrmc_data(n, m, t, r, seed):
     rng = np.random.default_rng(seed)
     low = rng.standard_normal((m, r))
     right = rng.standard_normal((r, t))
-    a = low @ right
     nu = lrmc_mask_density(m, t, r)
-    mask = rng.uniform(size=(m, t)) <= nu
-    cuts = np.array_split(np.arange(t), n)
-    agents = [(a[:, idx], mask[:, idx]) for idx in cuts]
+    mask = rng.random((m, t)) <= nu
+    a = low @ right  # formed after the uniform draw, whose memory it reuses
+    q, extra = divmod(t, n)
+    cuts = [i * q + min(i, extra) for i in range(n + 1)]
+    agents = [(a[:, lo:hi], mask[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
     u, _, _ = thin_svd(low)
     problem = LrmcProblem(agents, manifolds.stiefel(m, r))
     return problem, GroundTruth(u, 0.0)

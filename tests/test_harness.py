@@ -252,6 +252,12 @@ _GOLDEN_RUNS = {
         "trace.csv": "303e85e94d9189603e118c756b4b989e1cd88854a996d5150ee86d27343de098",
         "tracking_gap": "c71423f2821194f7350494e11f5ccf4c8aebfec67d6b8c2b32dd9ba8160701f6",
         "s_hat_norm_sq": "5d0e603ca3a4c1b6046db0630e8984b1ce98f9614a524258aaa742dc164fb1e7"}),
+    # Two block widths (14, 14, 13, 13, 13, 13), so two LRMC stacks.
+    "lrmc_uneven": ({"problem.kind": "lrmc", "problem.n": "6", "problem.m": "30", "problem.T": "80",
+                     "problem.r": "3", "graph.topology": "ring", "algo.beta": "2e-3"}, {
+        "trace.csv": "826825aa61b51c20a5cd4ae96187baaa0bc517d67d9f1b92902d0e9f2539075d",
+        "tracking_gap": "fc95ca550bd89cfac0cf6f6269dbcea9f7a8f4919d9d13893f2479429bacf211",
+        "s_hat_norm_sq": "d7c6fb538a42ee3743e198117756d7f3773c466f5ad8eb6c6d2d713616cb6b2f"}),
 }
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decmanopt import manifolds
 from decmanopt.errors import InvalidInputError
@@ -295,6 +297,48 @@ def test_gen_lrmc_uneven_split_covers_all_columns():
     problem, _ = gen_lrmc_data(16, 20, 1000, 5, seed=3)
     widths = [a.shape[1] for a, _ in problem.data]
     assert sum(widths) == 1000 and max(widths) - min(widths) <= 1
+
+
+def test_lrmc_bits_do_not_depend_on_block_layout():
+    problem, _ = gen_lrmc_data(4, 30, 80, 3, seed=7)
+    c_order = LrmcProblem([(np.ascontiguousarray(a), np.ascontiguousarray(mask))
+                           for a, mask in problem.data], problem.spec)
+    f_order = LrmcProblem([(np.asfortranarray(a), np.asfortranarray(mask))
+                           for a, mask in problem.data], problem.spec)
+    rng = np.random.default_rng(21)
+    xs = np.stack([problem.spec.random_point(rng) for _ in range(4)])
+    assert c_order.local_grads(xs).tobytes() == f_order.local_grads(xs).tobytes()
+    value_c, grad_c = c_order.mean_value_and_gradient(xs[0])
+    value_f, grad_f = f_order.mean_value_and_gradient(xs[0])
+    assert value_c == value_f and grad_c.tobytes() == grad_f.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from([3, 5, 8]), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+def test_lrmc_stacked_solve_equals_per_agent_terms_bitwise(widths, seed):
+    # Agents with 1, 2 or 3 distinct widths, in any order; column 0 of each
+    # block is unobserved and its last column has fewer than r observations.
+    m, r = 9, 3
+    rng = np.random.default_rng(seed)
+    agents = []
+    for w in widths:
+        mask = rng.random((m, w)) < 0.5
+        mask[:, 0] = False
+        mask[:, -1] = np.arange(m) < r - 1
+        agents.append((rng.standard_normal((m, w)), mask))
+    spec = manifolds.stiefel(m, r)
+    p = LrmcProblem(agents, spec)
+    xs = np.stack([spec.random_point(rng) for _ in widths])
+    grads = p.local_grads(xs)
+    for i in range(len(widths)):
+        assert np.array_equal(grads[i], p.local_grad(i, xs[i]))
+    total, g = 0.0, np.zeros((m, r))
+    for i in range(len(widths)):
+        total += p.local_value(i, xs[0])
+        g += p.local_grad(i, xs[0])
+    value, grad = p.mean_value_and_gradient(xs[0])
+    assert value == total / len(widths)
+    assert np.array_equal(grad, g / len(widths))
 
 
 # -- matrix files ---------------------------------------------------------------
