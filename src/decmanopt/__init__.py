@@ -55,7 +55,6 @@ from .problems import (
     gen_gevp_data,
     gen_lrmc_data,
     gen_pca_data,
-    save_matrix,
 )
 
 __version__ = "0.1.0"

@@ -38,15 +38,6 @@ _REQUIRED = object()
 RESERVED_PREFIXES = ("status", "abort.", "final.", "timing.", "network.")
 
 
-def _bool(value):
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(value)
-
-
 class ConfigKey(NamedTuple):
     """One config key: its ``ExperimentConfig`` attribute, how a raw value is
     parsed, and the default when the key is absent.  A callable default is
@@ -85,9 +76,7 @@ CONFIG_KEYS = (
     ConfigKey("run.trace_every", "trace_every", int, 1),
     ConfigKey("run.init", "init_mode", str, "identical", ("identical", "perturbed")),
     ConfigKey("run.delta", "delta", float, 0.1),
-    ConfigKey("metrics.agent_dist", "agent_dist", _bool, False),
     ConfigKey("out.dir", "out_dir", str),
-    ConfigKey("out.points", "save_points", _bool, False),
     ConfigKey("run.eps", "eps", float, None),
 )
 _KNOWN_KEYS = frozenset(row.key for row in CONFIG_KEYS)
@@ -167,11 +156,7 @@ def resolve_config(raw):
     unknown = [k for k in raw if k not in _KNOWN_KEYS and not _reserved(k)]
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]}")
-    echo = tuple(
-        (row.key, str(value).lower() if isinstance(value, bool) else value)
-        for row in CONFIG_KEYS
-        if (value := done[row.attr]) is not None
-    )
+    echo = tuple((row.key, value) for row in CONFIG_KEYS if (value := done[row.attr]) is not None)
     return ExperimentConfig(**done, echo=echo)
 
 
@@ -220,6 +205,8 @@ def run_experiment(cfg, no_clobber=False):
     or stopped run and an aborted one (see :class:`TubeViolationError`)
     write the same two files: the trace records taken and the manifest,
     whose summary gives the final record or the abort iteration and agent.
+    When the truth has a point x*, a finished run's summary also gives
+    ``final.agent_dist_mean``, the agents' mean subspace distance to it.
     An aborted run then re-raises.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -242,14 +229,11 @@ def run_experiment(cfg, no_clobber=False):
         summary = {"status": trace.status, "final.iter": final.iter}
         summary.update((f"final.{name}", metrics.fmt_float(getattr(final, name))) for name in
                        ("consensus_error", "objective_at_mean", "grad_norm_sq", "dist_to_truth"))
+        if truth.x_star is not None:
+            dists = [metrics.subspace_distance(x, truth.x_star) for x in trace.system.points]
+            summary["final.agent_dist_mean"] = metrics.fmt_float(np.mean(dists))
     summary["timing.wall_ns"] = time.monotonic_ns() - started
     summary["network.sigma2"] = metrics.fmt_float(mixing.sigma2)
-    if trace is not None and cfg.agent_dist and truth.x_star is not None:
-        dists = [metrics.subspace_distance(x, truth.x_star) for x in trace.system.points]
-        summary["final.agent_dist_mean"] = metrics.fmt_float(np.mean(dists))
-    if trace is not None and cfg.save_points:
-        for i, x in enumerate(trace.system.points):
-            problems.save_matrix(os.path.join(cfg.out_dir, f"points_{i}.csv"), x)
     metrics.write_trace(trace_path, aborted.records if trace is None else trace.records)
     with open(manifest_path, "w") as fh:
         fh.write("".join(f"{k}={v}\n" for k, v in (*cfg.echo, *summary.items())))

@@ -98,11 +98,7 @@ class ManifoldSpec:
 
     def norm(self, u):
         """The metric norm of a matrix, or of each block of a stack."""
-        if self.b is None:
-            # One matrix takes numpy's dot-product path, a stack the
-            # reduction path; each is what Stiefel runs have always used.
-            return np.linalg.norm(u, axis=(-2, -1) if np.ndim(u) == 3 else None)
-        return np.sqrt(np.sum(u * (self.b @ u), axis=(-2, -1)))
+        return np.sqrt(np.sum(u * self._metric(u), axis=(-2, -1)))
 
     # -- projections -------------------------------------------------------
 

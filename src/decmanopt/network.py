@@ -83,12 +83,9 @@ def build_graph(topology, n, seed=0, p=None):
     if topology == ERDOS_RENYI:
         if p is None or not (0.0 < p <= 1.0):
             raise InvalidInputError("Erdos-Renyi requires p in (0, 1]")
-        rng = np.random.default_rng(seed)
-        edges = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.uniform() < p:
-                    edges.add((i, j))
+        rows, cols = np.triu_indices(n, 1)  # pairs (i, j), i < j, row by row
+        keep = np.random.default_rng(seed).uniform(size=rows.size) < p
+        edges = set(zip(rows[keep].tolist(), cols[keep].tolist()))
         for e in ring_edges:
             if _connected(n, edges):
                 break

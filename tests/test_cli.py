@@ -142,6 +142,13 @@ def test_dataset_bundles_are_gone(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config key problem.kind: 'bundle'")
 
 
+@pytest.mark.parametrize("key", ["metrics.agent_dist", "out.points"])
+def test_removed_output_options_are_unknown_keys(tmp_path, capsys, key):
+    cfg = write_cfg(tmp_path)
+    assert main(["run", "--config", str(cfg), "--set", f"{key}=true"]) == 1
+    assert capsys.readouterr().err == f"error: unknown config key {key}\n"
+
+
 def test_sweep_writes_summary(tmp_path, capsys):
     cfg = write_cfg(tmp_path, **{"run.K": 20})
     assert main(["sweep", "--config", str(cfg), "--betas", "0.2,0.5", "--workers", "2"]) == 0

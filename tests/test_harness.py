@@ -59,9 +59,7 @@ run.seed=11
 run.trace_every=10
 run.init=identical
 run.delta=0.1
-metrics.agent_dist=false
 out.dir={out}
-out.points=false
 """
 
 
@@ -476,20 +474,24 @@ def test_rate_study_requires_consensus(tmp_path):
         harness.rate_study(small_cfg(tmp_path))
 
 
-def test_agent_dist_flag_reports_per_agent_mean(tmp_path):
-    cfg = small_cfg(tmp_path, **{"metrics.agent_dist": "true", "run.K": 20})
+def test_agent_dist_flag_reports_per_agent_mean(tmp_path, monkeypatch):
+    # Every finished run reports the agents' mean distance to x*; an
+    # aborted one has no final states to report.
+    cfg = small_cfg(tmp_path, **{"run.K": 20})
     harness.run_experiment(cfg)
-    manifest = (tmp_path / "out" / "manifest.txt").read_text()
-    assert "final.agent_dist_mean=" in manifest
-    cfg2 = small_cfg(tmp_path, **{"run.K": 20})
-    harness.run_experiment(cfg2)
+    summary = dict(line.split("=", 1) for line in
+                   (tmp_path / "out" / "manifest.txt").read_text().splitlines())
+    problem, truth, mixing, system, run_cfg = harness.build_run(cfg)
+    points = algorithms.run(run_cfg, problem, mixing, system, truth).system.points
+    dists = [metrics.subspace_distance(x, truth.x_star) for x in points]
+    assert summary["final.agent_dist_mean"] == metrics.fmt_float(np.mean(dists))
+
+    def boom(*args, **kwargs):
+        err = TubeViolationError(3, 1)
+        err.records = []
+        raise err
+
+    monkeypatch.setattr(algorithms, "run", boom)
+    with pytest.raises(TubeViolationError):
+        harness.run_experiment(cfg)
     assert "final.agent_dist_mean" not in (tmp_path / "out" / "manifest.txt").read_text()
-
-
-def test_save_points_writes_final_agent_states(tmp_path):
-    cfg = small_cfg(tmp_path, **{"out.points": "true", "run.K": 15})
-    harness.run_experiment(cfg)
-    for i in range(4):
-        x = np.loadtxt(tmp_path / "out" / f"points_{i}.csv", delimiter=",")
-        assert x.shape == (6, 2)
-        assert np.linalg.norm(x.T @ x - np.eye(2)) <= 1e-8

@@ -93,6 +93,17 @@ def test_stacked_maps_equal_per_agent_maps_bitwise():
             assert ts[i].tobytes() == spec.tangent_project(xs[i], us[i]).tobytes()
 
 
+def test_norm_of_a_stack_is_blockwise_and_matches_inner():
+    rng = np.random.default_rng(19)
+    for spec in (stiefel(8, 3), generalized_stiefel(8, 3, random_spd(8, rng))):
+        us = rng.standard_normal((5, 8, 3))
+        norms = spec.norm(us)
+        assert norms.shape == (5,)
+        for i in range(5):
+            assert norms[i] == pytest.approx(spec.norm(us[i]), rel=1e-14)
+            assert spec.norm(us[i]) ** 2 == pytest.approx(spec.inner(us[i], us[i]), rel=1e-14)
+
+
 def test_tangent_project_idempotent_and_kills_base():
     rng = np.random.default_rng(4)
     spec = stiefel(9, 4)

@@ -33,7 +33,25 @@ def test_erdos_renyi_connected_and_reproducible():
     g2 = build_graph("er", 8, seed=7, p=0.6)
     assert g1.edges == g2.edges
     assert 7 <= len(g1.edges) <= 28
-    assert build_graph("er", 8, seed=8, p=0.6).edges != g1.edges or True  # seeds may collide
+    assert build_graph("er", 8, seed=8, p=0.6).edges != g1.edges
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.6, 1.0])
+def test_erdos_renyi_draws_one_uniform_per_pair_in_row_order(n, p):
+    # Reference: one scalar draw per pair (i, j), i < j, in a double loop,
+    # then the ring repair: the fewest ring edges, in order, that connect it.
+    ring = [(0, 1)] if n == 2 else [tuple(sorted((k, (k + 1) % n))) for k in range(n)]
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        sample = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < p}
+        for k in range(len(ring) + 1):
+            try:
+                expected = Graph(n, frozenset(sample.union(ring[:k])))
+                break
+            except InvalidInputError:
+                pass
+        assert build_graph("er", n, seed=seed, p=p).edges == expected.edges
 
 
 def test_erdos_renyi_repair_low_p():

@@ -16,7 +16,6 @@ from decmanopt.problems import (
     gen_pca_data,
     gevp_constraint,
     lrmc_mask_density,
-    save_matrix,
 )
 
 
@@ -339,17 +338,6 @@ def test_lrmc_stacked_solve_equals_per_agent_terms_bitwise(widths, seed):
     value, grad = p.mean_value_and_gradient(xs[0])
     assert value == total / len(widths)
     assert np.array_equal(grad, g / len(widths))
-
-
-# -- matrix files ---------------------------------------------------------------
-
-
-def test_matrix_round_trip_bitwise(tmp_path):
-    rng = np.random.default_rng(20)
-    a = rng.standard_normal((7, 4))
-    path = tmp_path / "m.csv"
-    save_matrix(path, a)
-    assert a.tobytes() == np.loadtxt(path, delimiter=",").tobytes()
 
 
 def test_lrmc_rejects_blocks_unlike_its_row_count():
