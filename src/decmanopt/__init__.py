@@ -7,15 +7,10 @@ completion testbeds and an experiment harness with reproducible traces.
 """
 
 from .algorithms import (
-    AgentSystem,
     RunConfig,
     StepSchedule,
     Trace,
-    consensus_step,
-    dprgd_step,
-    dprgt_step,
     init_system,
-    init_tracker,
     run,
 )
 from .errors import (

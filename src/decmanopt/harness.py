@@ -230,7 +230,7 @@ def run_experiment(cfg, no_clobber=False):
         summary.update((f"final.{name}", metrics.fmt_float(getattr(final, name))) for name in
                        ("consensus_error", "objective_at_mean", "grad_norm_sq", "dist_to_truth"))
         if truth.x_star is not None:
-            dists = [metrics.subspace_distance(x, truth.x_star) for x in trace.system.points]
+            dists = [metrics.subspace_distance(x, truth.x_star) for x in trace.points]
             summary["final.agent_dist_mean"] = metrics.fmt_float(np.mean(dists))
     summary["timing.wall_ns"] = time.monotonic_ns() - started
     summary["network.sigma2"] = metrics.fmt_float(mixing.sigma2)

@@ -1,9 +1,10 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from decmanopt import algorithms
+from decmanopt import algorithms, problems
 from decmanopt.cli import main
 from decmanopt.errors import TubeViolationError
 
@@ -108,6 +109,25 @@ def test_run_overflow_aborts_with_partial_outputs(tmp_path, capsys):
     assert {"status=aborted", "abort.iteration=1", "abort.agent=0"} <= set(manifest)
     trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in trace[1:]] == ["0"]
+
+
+def test_run_nan_initial_gradient_aborts_at_iteration_0(tmp_path, monkeypatch, capsys):
+    # DPRGT evaluates every agent's gradient before record 0, to start its
+    # tracker; a non-finite one aborts there like any tube violation.
+    local_grads = problems.GevpProblem.local_grads
+
+    def nan_agent_2(self, xs):
+        grads = local_grads(self, xs)
+        grads[2] = np.nan
+        return grads
+
+    monkeypatch.setattr(problems.GevpProblem, "local_grads", nan_agent_2)
+    cfg = write_cfg(tmp_path, **{"problem.kind": "gevp"})
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "iteration 0, agent 2" in capsys.readouterr().err
+    manifest = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    assert {"status=aborted", "abort.iteration=0", "abort.agent=2"} <= set(manifest)
+    assert len((tmp_path / "out" / "trace.csv").read_text().splitlines()) == 1
 
 
 @pytest.mark.parametrize("r", ["5", "0"])
