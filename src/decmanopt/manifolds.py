@@ -16,7 +16,10 @@ instead of wrapper types.
   B-norm; the tangent projection is u - x sym(x'Bu), orthogonal in the
   B-metric.  x -> B^(1/2) x is an isometry onto Stiefel in that metric, so
   the Stiefel theory, and its proximal-smoothness constant gamma = 0.5,
-  carry over unchanged.
+  carry over unchanged.  The gram y'By is formed as (Cy)'(Cy) from the
+  upper Cholesky factor C of B = C'C, made once per manifold; its inverse
+  square root is taken by Newton–Schulz steps when it is near I, as it is
+  inside the tube, and by ``eigh`` otherwise (see ``numerics``).
 
 The Riemannian gradient of f is the tangent projection of the metric's
 gradient: of the Euclidean gradient on Stiefel, of B^(-1) times it on
@@ -36,9 +39,9 @@ import numpy as np
 from .errors import InvalidInputError, SingularityError
 from .numerics import (
     RANK_RTOL,
+    _inverse_sqrt,
     reject_blocks,
     require_finite,
-    spd_inverse_sqrt,
     sym,
     sym_eig,
     thin_svd,
@@ -61,6 +64,8 @@ class ManifoldSpec:
     r: int
     b: np.ndarray | None = field(default=None, repr=False)
     b_inv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # The upper Cholesky factor C of B = C'C.
+    chol: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (1 <= self.r <= self.d):
@@ -74,6 +79,7 @@ class ManifoldSpec:
                 raise InvalidInputError("b must be symmetric positive definite")
             object.__setattr__(self, "b", 0.5 * (b + b.T))
             object.__setattr__(self, "b_inv", (v / w) @ v.T)
+            object.__setattr__(self, "chol", np.linalg.cholesky(self.b).T)
 
     def _metric(self, u):
         """The metric operator applied to u: u itself, or B u."""
@@ -82,8 +88,9 @@ class ManifoldSpec:
     # -- feasibility -------------------------------------------------------
 
     def gram(self, x):
-        """x'x (Stiefel) or x'Bx (generalized Stiefel)."""
-        return x.mT @ self._metric(x)
+        """x'x (Stiefel) or (Cx)'(Cx) = x'Bx (generalized Stiefel)."""
+        cx = x if self.b is None else self.chol @ x
+        return cx.mT @ cx
 
     def feasibility_residual(self, x):
         """Frobenius distance of the constraint Gram matrix from the identity."""
@@ -115,7 +122,13 @@ class ManifoldSpec:
             reject_blocks(SingularityError, s[..., -1] <= RANK_RTOL * s[..., 0],
                           "projection target is rank deficient")
             return u @ v.mT
-        return y @ spd_inverse_sqrt(self.gram(y))
+        # No symmetry check: G_ij and G_ji are the same dot product of two
+        # columns of Cy, summed in possibly different orders, so
+        # ||G - G'||_F <= 2 gamma_d tr G <= 2 gamma_d sqrt(r) ||G||_F, with
+        # gamma_d = d eps/2 / (1 - d eps/2).  That stays below SYM_RTOL
+        # ||G||_F, so spd_inverse_sqrt's check cannot fire, while
+        # d sqrt(r) < about 4.5e7.
+        return y @ _inverse_sqrt(sym(self.gram(y)))
 
     def tangent_project(self, x, u):
         """Metric-orthogonal projection of u onto the tangent space at x, or
@@ -131,11 +144,9 @@ class ManifoldSpec:
         """The Riemannian gradient at x (or at each block of a stack) of a
         function with Euclidean gradient ``egrad``, which must be finite."""
         egrad = require_finite(egrad)
-        if self.b is not None:
-            egrad = self.b_inv @ egrad
-        if np.ndim(x) == 3:  # an agent stack, traced under the stack name
-            return self.tangent_project_stack(x, egrad)
-        return self.tangent_project(x, egrad)
+        u = egrad if self.b is None else self.b_inv @ egrad
+        # tangent_project(x, u), with x'B(B^(-1) egrad) = x'egrad.
+        return u - x @ sym(x.mT @ egrad)
 
     # -- sampling ----------------------------------------------------------
 

@@ -7,12 +7,21 @@ identical output bits.
 
 Every kernel takes one matrix or a stack of them with the block index
 first, shape (n, p, q) for :func:`thin_svd` and (n, r, r) for the others.
-A stack goes through one batched LAPACK call, and each of its blocks gets
-the same bits as a call on that block alone.  The finite check runs once
-over the whole input; the symmetry check (``SYM_RTOL``) and the
+A stack goes through batched calls, and each of its blocks gets the same
+bits as a call on that block alone.  The finite check runs once over the
+whole input; the symmetry check (``SYM_RTOL``) and the
 positive-definiteness check (``RANK_RTOL``) run on every block.  An error
 raised for a stack names the first failing block in its message and in
 its ``block`` attribute.
+
+The inverse square root takes no eigendecomposition of a block s with
+||s - I||_F <= ``NEAR_IDENTITY``: such a block gets at most three
+Newton–Schulz steps, batched matmuls only, which converge quadratically
+from I.  Its eigenvalues lie within ``NEAR_IDENTITY`` of 1, so it passes
+the positive-definiteness check by construction, and a non-finite block
+is never near.  Every other block of the stack goes through ``eigh`` and
+the finite and positive-definiteness checks, whose errors name the block
+by its index in the whole stack.
 """
 
 import numpy as np
@@ -25,6 +34,15 @@ RANK_RTOL = 1e-12
 
 # Relative asymmetry tolerated by sym_eig before rejecting the input.
 SYM_RTOL = 1e-8
+
+_EPS = np.finfo(float).eps
+
+# Frobenius distance from I within which a block's inverse square root is
+# taken by Newton–Schulz steps instead of eigh.  Such a block needs at most
+# two steps after the first (q <= 2^-14 and q^4 < eps, in _newton_schulz's
+# terms), and with two the steps still beat eigh on every stack measured,
+# from one 5x5 block to (16, 20, 20).
+NEAR_IDENTITY = 2.0**-7
 
 
 def sym(a):
@@ -75,6 +93,21 @@ def thin_svd(m):
     return u, s, vt.mT
 
 
+def _checked_symmetric(m, name):
+    """``m`` as a float array of square matrices; rejects NaN or Inf and
+    asymmetry beyond ``SYM_RTOL`` relative to a block's norm."""
+    m = require_finite(m)
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
+        raise InvalidInputError(f"{name} expects square matrices, got shape {m.shape}")
+    # Squared Frobenius norms per block: ||m - m'||^2 > SYM_RTOL^2 ||m||^2.
+    d = m - m.mT
+    asym_sq = np.einsum("...ij,...ij->...", d, d)
+    scale_sq = np.einsum("...ij,...ij->...", m, m)
+    reject_blocks(InvalidInputError, asym_sq > SYM_RTOL**2 * scale_sq,
+                  "matrix is not symmetric within tolerance")
+    return m
+
+
 def sym_eig(m):
     """Eigendecomposition of a symmetric matrix or of each block of a stack.
 
@@ -82,23 +115,59 @@ def sym_eig(m):
     columns v.  The input is symmetrized internally; asymmetry beyond
     ``SYM_RTOL`` relative to a block's norm is rejected.
     """
-    m = require_finite(m)
-    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
-        raise InvalidInputError(f"sym_eig expects square matrices, got shape {m.shape}")
-    # Squared Frobenius norms per block: ||m - m'||^2 > SYM_RTOL^2 ||m||^2.
-    d = m - m.mT
-    asym_sq = np.einsum("...ij,...ij->...", d, d)
-    scale_sq = np.einsum("...ij,...ij->...", m, m)
-    reject_blocks(InvalidInputError, asym_sq > SYM_RTOL**2 * scale_sq,
-                  "matrix is not symmetric within tolerance")
-    return np.linalg.eigh(sym(m))
+    return np.linalg.eigh(sym(_checked_symmetric(m, "sym_eig")))
 
 
 def spd_inverse_sqrt(m):
     """Inverse square root R of an SPD matrix, satisfying R @ m @ R = I,
     or of each block of a stack."""
-    w, v = sym_eig(m)
-    reject_blocks(SingularityError, (w[..., -1] <= 0) | (w[..., 0] <= RANK_RTOL * w[..., -1]),
-                  "matrix is not positive definite within tolerance")
-    return (v / np.sqrt(w)[..., None, :]) @ v.mT
+    return _inverse_sqrt(sym(_checked_symmetric(m, "spd_inverse_sqrt")))
 
+
+def _inverse_sqrt(s):
+    """:func:`spd_inverse_sqrt` without the symmetry check, for a matrix or
+    stack that the caller made exactly symmetric (``sym``)."""
+    eye = np.eye(s.shape[-1])
+    e = s - eye
+    flat = e.reshape(*e.shape[:-2], -1)
+    q = np.vecdot(flat, flat)  # ||s - I||_F^2 per block
+    z = eye - 0.5 * e  # the first Newton–Schulz step, (3I - s)/2
+    # NaN fails the comparison, so a non-finite block is never near.
+    if q.max() <= NEAR_IDENTITY**2:
+        return _newton_schulz(s, z, q)
+    # For a single matrix the masks are 0-d, and s[mask] is a stack of one.
+    near = q <= NEAR_IDENTITY**2
+    far = ~near
+    out = np.empty_like(s)
+    bad = np.zeros(far.shape, dtype=bool)
+    sf = s[far]
+    bad[far] = ~np.isfinite(sf).all(axis=(-2, -1))
+    reject_blocks(NonFiniteError, bad, "matrix contains NaN or Inf")
+    w, v = np.linalg.eigh(sf)
+    bad[far] = (w[..., -1] <= 0) | (w[..., 0] <= RANK_RTOL * w[..., -1])
+    reject_blocks(SingularityError, bad, "matrix is not positive definite within tolerance")
+    out[far] = (v / np.sqrt(w)[..., None, :]) @ v.mT
+    if near.any():
+        out[near] = _newton_schulz(s[near], z[near], q[near])
+    return out
+
+
+def _newton_schulz(s, z, q):
+    """Inverse square roots of symmetric blocks s within ||s - I||_F^2 = q
+    <= NEAR_IDENTITY^2 of I, to rounding, from z = (3I - s)/2.
+
+    z_1 = (3I - s)/2 is the step from z_0 = I, and each further step is
+    z <- z (3I - s z^2)/2.  An eigenvalue's residual d = 1 - lambda z^2
+    obeys d' = d^2 (3 + d)/4, so |d| <= q after z_1 and each step squares
+    that bound; a block steps while its own bound exceeds machine epsilon,
+    at most twice.
+    """
+    if q.max() <= _EPS:  # no further step, as for a gram inside the tube
+        return z
+    three = 3.0 * np.eye(s.shape[-1])
+    steps = (q > _EPS).astype(np.intp) + (q > _EPS**0.5)
+    every = int(steps.min())
+    for k in range(int(steps.max())):
+        step = z @ (three - s @ z @ z) * 0.5
+        z = step if k < every else np.where(steps[..., None, None] > k, step, z)
+    return z

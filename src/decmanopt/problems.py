@@ -272,6 +272,8 @@ def gevp_constraint(d, rng):
     e_j = (j - 1)/2, which reproduces the documented endpoints (1.1 first,
     1.1^0.5 second, 1.1^(d/2 - 0.5) last).
     """
+    if d < 1:
+        raise InvalidInputError(f"need d >= 1, got d={d}")
     q, rr = np.linalg.qr(rng.standard_normal((d, d)))
     q = q * np.sign(np.diag(rr))
     e = np.array([1.0] + [0.5 * (j - 1) for j in range(2, d + 1)])

@@ -11,6 +11,13 @@ recapture them from a trusted commit on that machine: ``CAPTURE``, run
 from the repository root, prints the digest set of the kernel in use
 (``OPENBLAS_CORETYPE=<kernel>`` in front selects another) as a literal
 for ``DIGESTS``.
+
+Provenance: the ``lrmc_ring``, ``lrmc_uneven`` and ``pca_dprgd`` sets of
+both kernels come from commit dd8c592.  The ``gevp_er`` and
+``gevp_consensus`` sets come from the child of c9ab057 that forms the
+B-Stiefel gram from the Cholesky factor of B and takes its inverse square
+root by Newton–Schulz steps near I; that moved GEVP results by rounding
+only (objective, grad^2 and distance to truth by at most 3.3e-15 relative).
 """
 
 import ctypes
@@ -49,16 +56,16 @@ RUNS = {
                        "algo.kind": "consensus", "run.init": "perturbed"},
 }
 
-# Digests per kernel, each set captured with CAPTURE from commit dd8c592
-# (before the step functions were folded into algorithms.run); the Haswell
-# set under OPENBLAS_CORETYPE=Haswell on the AVX-512 machine.
+# Digests per kernel, each set captured with CAPTURE from the commit named in
+# the module docstring; the Haswell set under OPENBLAS_CORETYPE=Haswell on
+# the AVX-512 machine.
 DIGESTS = {
     "SkylakeX": {
         "gevp_er": {
-            "trace.csv": "0ec808196cdf15ed3eee565cce069724ca5c47eead7a92c213e88b0397531a23",
-            "points": "c0315aabf257486bdb1d1a72b850d52e9214ba75acd66a90774ef185d1dc239f",
-            "tracking_gap": "c03d1ec2ba99e7bb9b28f22ba1d5977441b97a08b9e3de9185fbc1cd1f8d30aa",
-            "s_hat_norm_sq": "a856ff85810d712e802ebb866e9896ca8ec874e98a0f8a90398b2b4dd8d5eab8",
+            "trace.csv": "c1866a49ccc7a4434b777d1c0cd6e8867c04f01a09c7ce0119f552f8cb91f9eb",
+            "points": "71997801326aff3fdba2467b3c22ad1c91f96787bbbce863a21cf8273c1121da",
+            "tracking_gap": "c8089f232b8758f14496e259b3bfff1a2c50e7dadc1334bb839964a7a557684f",
+            "s_hat_norm_sq": "d51f78b27ff182d726db69a6e7bcbfaf9586eed1525411c8471ec1514222d082",
         },
         "lrmc_ring": {
             "trace.csv": "303e85e94d9189603e118c756b4b989e1cd88854a996d5150ee86d27343de098",
@@ -77,16 +84,16 @@ DIGESTS = {
             "points": "012100592bf4e88fc6eaeb5dd059f5e564e56ca6243479c492b6459cf83396dd",
         },
         "gevp_consensus": {
-            "trace.csv": "a23743f4b5aa19056b4d8c0d760a7bcc2606b296f490a539f1b54685ee5cebf5",
-            "points": "2140a7d09a7ba36503c5dd614a1bf4acf02610d90115f15a771b348305b9d6b1",
+            "trace.csv": "684effd4b5239a06250f5ef39d762d85797e975299339e0ecf1fc1ffbc96b48b",
+            "points": "7c9152391beba02a4a52cf03e77b1f289fbe6e4c9950b86e319fc7a494c11361",
         },
     },
     "Haswell": {
         "gevp_er": {
-            "trace.csv": "a92ad867eb2ed885733b698943141f29d63ede27ae962443150f425589be42d8",
-            "points": "8fcf51c9c6713a9771772a40e3155f1e8f156253be0bdbd56a46561a02dbc629",
-            "tracking_gap": "2ba67027aa06b3e40bb23af8824df5efe6066f3dc83429dcada69ddfa7915256",
-            "s_hat_norm_sq": "545c9a6d0b559dcd846597470223e90110ea662c7bb21d3b81659ea7828dc241",
+            "trace.csv": "b5acd1b69071605c5dba7da2511f97ac235e29ed9e7738d7946666857e147c1c",
+            "points": "720ff87f046f631643dfeddafb9f94c8987e153917a086333576491d686ba72e",
+            "tracking_gap": "7132404c183789190e4590990ec978ae5f1d62fec6c0ec4efd3075a0c0f89be9",
+            "s_hat_norm_sq": "2a3692e15c6d456546393b33fc44bcbfe215976b0990c9c2f577738f92f54e66",
         },
         "lrmc_ring": {
             "trace.csv": "fb305e2907f3bb0b6b306b99afd8ed10a6592cbdaff0d9ae36b0557caffc0570",
@@ -105,8 +112,8 @@ DIGESTS = {
             "points": "b95828cbdd992c6a476eda5163b7e30c4e6c22bc709efa8368ac180123f52e89",
         },
         "gevp_consensus": {
-            "trace.csv": "327fe95613dd243fd580f600548ca904d7cec0ae82924401fd6a2a575c5ebe4b",
-            "points": "fff4ffa00bc0fd6c85aa61735dd54670f3f27d3ab7510b301f17ae89d1cca4fa",
+            "trace.csv": "4c8ac9f18cb6373de64b35fb0ea4f4937d6a7a7ae27510ec1f4da2779bfbd4bd",
+            "points": "c83616bb39cacc63b1ffbe9822e4e0c67ed4ba202c040dda0fcd4d59232bccfd",
         },
     },
 }

@@ -204,6 +204,19 @@ def test_check_rejects_nonpositive_noise_scale(capsys, scale):
     assert "error: noise_scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d", ["0", "-2"])
+def test_check_generalized_rejects_nonpositive_size(d):
+    proc = subprocess.run(
+        [sys.executable, "-m", "decmanopt", "check", "--manifold", "generalized-stiefel",
+         "--d", d, "--trials", "5"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: need d >= 1")
+    assert "Traceback" not in proc.stderr
+
+
 def test_console_entry_point(tmp_path):
     cfg = write_cfg(tmp_path, **{"run.K": 5})
     proc = subprocess.run(

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from decmanopt.errors import SingularityError
 from decmanopt.manifolds import check_projection_lipschitz, generalized_stiefel, stiefel
-from decmanopt.numerics import sym
+from decmanopt.numerics import NEAR_IDENTITY, sym
 from decmanopt.problems import GevpProblem, PcaProblem, gevp_constraint
 
 
@@ -313,3 +313,39 @@ def test_random_point_feasible_and_seeded():
     b = spec.random_point(np.random.default_rng(42))
     assert np.array_equal(a, b)
     assert spec.feasibility_residual(a) <= 1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))),
+       st.floats(0.0, 10.0), st.integers(0, 2**32 - 1))
+def test_b_stiefel_gram_asymmetry_within_rounding_bound(shape, log_kappa, seed):
+    # The bound that lets project skip the symmetry check:
+    # ||G - G'||_F <= 2 gamma_d sqrt(r) ||G||_F, with B up to kappa = 1e10.
+    d, r = shape
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    spec = generalized_stiefel(d, r, (q * np.logspace(0.0, log_kappa, d)) @ q.T)
+    ys = rng.standard_normal((4, d, r)) * rng.uniform(0.1, 10.0, (4, 1, 1))
+    g = spec.gram(ys)
+    u = np.finfo(float).eps / 2
+    gamma_d = d * u / (1 - d * u)
+    asym = np.linalg.norm(g - g.mT, axis=(-2, -1))
+    assert np.all(asym <= 2 * gamma_d * np.sqrt(r) * np.linalg.norm(g, axis=(-2, -1)))
+
+
+def test_b_stiefel_projection_near_the_manifold_calls_no_eigh(monkeypatch):
+    rng = np.random.default_rng(21)
+    spec = generalized_stiefel(8, 3, random_spd(8, rng))
+    xs = np.stack([spec.random_point(rng) for _ in range(5)])
+    ys = xs + 1e-4 * rng.standard_normal(xs.shape)
+    assert np.all(spec.feasibility_residual(ys) <= NEAR_IDENTITY)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    ps = spec.project_stack(ys)
+    assert calls == []
+    assert np.all(spec.feasibility_residual(ps) <= 1e-14)
+    ys[2] *= 2.0  # gram 4 I: only this block goes through eigh
+    spec.project_stack(ys)
+    assert calls == [(1, 3, 3)]
+

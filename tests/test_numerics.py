@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from decmanopt.errors import InvalidInputError, SingularityError
-from decmanopt.numerics import spd_inverse_sqrt, sym_eig, thin_svd
+from decmanopt.errors import InvalidInputError, NonFiniteError, SingularityError
+from decmanopt.numerics import NEAR_IDENTITY, _inverse_sqrt, spd_inverse_sqrt, sym, sym_eig, thin_svd
 
 
 def test_thin_svd_identity():
@@ -127,20 +127,71 @@ def test_spd_inverse_sqrt_stack_matches_scipy_fractional_power_oracle():
         assert np.max(np.abs(ref.imag)) <= 1e-10
 
 
-def test_stacked_kernels_equal_per_matrix_calls_bitwise():
-    rng = np.random.default_rng(11)
-    ms = random_spd_stack(rng)
-    w, v = sym_eig(ms)
+def near_identity_stack(rng, dists, r=5):
+    """I + dist * a for unit-Frobenius symmetric a: ||m - I||_F = dist."""
+    a = sym(rng.standard_normal((len(dists), r, r)))
+    a /= np.linalg.norm(a, axis=(-2, -1))[:, None, None]
+    return np.eye(r) + np.asarray(dists, dtype=float)[:, None, None] * a
+
+
+def test_near_identity_inverse_sqrt_matches_scipy_and_inverts(monkeypatch):
+    dists = [0.0, 1e-15, 1e-8, 1e-3, 0.99 * NEAR_IDENTITY]
+    ms = near_identity_stack(np.random.default_rng(15), dists)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
     rs = spd_inverse_sqrt(ms)
+    assert calls == []
+    assert rs[0].tobytes() == np.eye(5).tobytes()
+    for m, r in zip(ms, rs):
+        ref = scipy.linalg.fractional_matrix_power(m, -0.5)
+        assert np.max(np.abs(r - ref.real)) <= 1e-14
+        assert np.linalg.norm(r @ m @ r - np.eye(5)) <= 1e-14
+
+
+def test_stacked_kernels_equal_per_matrix_calls_bitwise():
+    # Far blocks go through eigh, near ones take Newton–Schulz steps (as
+    # many as their distance from I needs); mixed stacks take both paths.
+    rng = np.random.default_rng(11)
+    far = random_spd_stack(rng)
+    near = near_identity_stack(rng, [1e-3, 0.0, 1e-15, 1e-8, 0.99 * NEAR_IDENTITY, 1e-5])
+    mixed = np.where((np.arange(6) % 2 == 0)[:, None, None], near, far)
     ys = rng.standard_normal((6, 8, 3))
     u, sv, vv = thin_svd(ys)
-    for i in range(len(ms)):
-        w1, v1 = sym_eig(ms[i])
-        assert w[i].tobytes() == w1.tobytes() and v[i].tobytes() == v1.tobytes()
-        assert rs[i].tobytes() == spd_inverse_sqrt(ms[i]).tobytes()
+    for i in range(len(ys)):
         u1, s1, v1 = thin_svd(ys[i])
         assert u[i].tobytes() == u1.tobytes() and sv[i].tobytes() == s1.tobytes()
         assert vv[i].tobytes() == v1.tobytes()
+    for ms in (far, near, mixed):
+        w, v = sym_eig(ms)
+        rs = spd_inverse_sqrt(ms)
+        for i in range(len(ms)):
+            w1, v1 = sym_eig(ms[i])
+            assert w[i].tobytes() == w1.tobytes() and v[i].tobytes() == v1.tobytes()
+            assert rs[i].tobytes() == spd_inverse_sqrt(ms[i]).tobytes()
+            assert rs[i].tobytes() == spd_inverse_sqrt(ms[i:i + 1])[0].tobytes()
+
+
+def test_core_names_far_blocks_by_their_index_in_a_near_stack():
+    ms = near_identity_stack(np.random.default_rng(16), [1e-3, 0.0, 1e-8, 1e-5, 1e-12, 0.0])
+    bad = ms.copy()
+    bad[2, 1, 1] = np.nan
+    with pytest.raises(NonFiniteError, match="block 2") as info:
+        _inverse_sqrt(bad)
+    assert info.value.block == 2
+    bad = ms.copy()
+    bad[4] = np.diag([1.0, 2.0, -1.0, 3.0, 4.0])
+    with pytest.raises(SingularityError, match="block 4") as info:
+        _inverse_sqrt(bad)
+    assert info.value.block == 4
+
+
+def test_public_kernel_rejects_an_asymmetric_near_identity_block():
+    ms = near_identity_stack(np.random.default_rng(17), [1e-3, 0.0, 1e-8, 1e-5])
+    ms[3, 0, 1] += 1e-6
+    with pytest.raises(InvalidInputError, match="block 3") as info:
+        spd_inverse_sqrt(ms)
+    assert info.value.block == 3
 
 
 @pytest.mark.parametrize("kernel", [sym_eig, spd_inverse_sqrt])
