@@ -134,9 +134,7 @@ class Trace:
 
 def _measure(k, alpha, points, problem, truth, t_start):
     st = stationarity(problem, points)
-    dist = None
-    if truth is not None and truth.x_star is not None:
-        dist = subspace_distance(st.x_bar, truth.x_star)
+    dist = None if truth is None else subspace_distance(st.x_bar, truth.x_star)
     return TraceRecord(
         iter=k,
         step_size=alpha,

@@ -5,8 +5,9 @@ config file (any key overridable with ``--set key=value``), ``sweep``
 grid-searches the step size, ``rate-study`` measures consensus
 contraction, and ``check`` runs the projection inequality probes.
 
-Exit codes: 0 on success, 1 on configuration or validation errors, 2 when
-a run aborts (a projection tube violation or a non-finite state).
+Exit codes: 0 on success, 1 on configuration or validation errors and on
+unusable paths, 2 when a run aborts (a projection tube violation or a
+non-finite state).
 Diagnostics go to stderr; data only to files under the configured output
 directory.
 """
@@ -48,7 +49,7 @@ def _build_parser():
     sweepp = sub.add_parser("sweep", help="grid-search the step-size coefficient")
     add_run_flags(sweepp)
     sweepp.add_argument("--betas", required=True, help="comma-separated candidate list")
-    sweepp.add_argument("--metric", default="grad_norm_sq", choices=["objective", "grad_norm_sq"])
+    sweepp.add_argument("--metric", default="grad_norm_sq", choices=["grad_norm_sq"])
 
     ratep = sub.add_parser("rate-study", help="per-step consensus contraction ratios")
     add_run_flags(ratep)
@@ -59,7 +60,7 @@ def _build_parser():
     checkp.add_argument("--r", type=int, default=5)
     checkp.add_argument("--trials", type=int, default=1000)
     checkp.add_argument("--noise-scale", type=float, default=None)
-    checkp.add_argument("--seed", type=int, default=0)
+    checkp.add_argument("--seed", type=harness.seed, default=0)
     return parser
 
 
@@ -76,11 +77,11 @@ def _cmd_sweep(args):
         betas = [float(tok) for tok in args.betas.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"cannot parse --betas {args.betas!r}") from exc
-    result = harness.sweep(cfg, betas, metric=args.metric, workers=args.workers)
+    result = harness.sweep(cfg, betas, workers=args.workers)
     os.makedirs(cfg.out_dir, exist_ok=True)
     summary_path = os.path.join(cfg.out_dir, "sweep.csv")
     harness.write_sweep_summary(summary_path, result)
-    print(f"best beta {result.best_beta!r} by {result.metric}; summary in {summary_path}",
+    print(f"best beta {result.best_beta!r} by grad_norm_sq; summary in {summary_path}",
           file=sys.stderr)
     return 0
 
@@ -134,7 +135,7 @@ def main(argv=None):
     }[args.command]
     try:
         return handler(args)
-    except (ConfigError, InvalidInputError, FileNotFoundError) as exc:
+    except (ConfigError, InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TubeViolationError as exc:

@@ -51,6 +51,13 @@ class ConfigKey(NamedTuple):
     choices: tuple | None = None
 
 
+def seed(text):
+    """A seed as numpy's generators take it: a non-negative integer."""
+    if (value := int(text)) < 0:
+        raise ValueError(f"negative seed {value}")
+    return value
+
+
 # Row order is the manifest echo order.
 CONFIG_KEYS = (
     ConfigKey("problem.kind", "problem_kind", str, choices=("pca", "gevp", "lrmc")),
@@ -61,10 +68,10 @@ CONFIG_KEYS = (
     ConfigKey("problem.xi", "xi", float, 0.8),
     ConfigKey("problem.m", "m", int, 100),
     ConfigKey("problem.T", "T", int, 1000),
-    ConfigKey("problem.seed", "problem_seed", int),
+    ConfigKey("problem.seed", "problem_seed", seed),
     ConfigKey("graph.topology", "topology", str, choices=("ring", "complete", "er")),
     ConfigKey("graph.p", "p", float, 0.3),
-    ConfigKey("graph.seed", "graph_seed", int,
+    ConfigKey("graph.seed", "graph_seed", seed,
               lambda done: _REQUIRED if done["topology"] == "er" else 0),
     ConfigKey("algo.kind", "algo_kind", str, choices=("consensus", "dprgd", "dprgt")),
     ConfigKey("algo.t", "t", int, 1),
@@ -72,7 +79,7 @@ CONFIG_KEYS = (
     ConfigKey("algo.beta", "beta", float,
               lambda done: _REQUIRED if done["algo_kind"] in ("dprgd", "dprgt") else 0.0),
     ConfigKey("run.K", "max_iters", int),
-    ConfigKey("run.seed", "run_seed", int),
+    ConfigKey("run.seed", "run_seed", seed),
     ConfigKey("run.trace_every", "trace_every", int, 1),
     ConfigKey("run.init", "init_mode", str, "identical", ("identical", "perturbed")),
     ConfigKey("run.delta", "delta", float, 0.1),
@@ -139,7 +146,8 @@ def _resolve(raw, row, default):
     try:
         value = row.cast(raw[row.key])
     except ValueError as exc:
-        raise ConfigError(f"config key {row.key}: cannot parse {raw[row.key]!r}") from exc
+        raise ConfigError(f"config key {row.key}: cannot parse {raw[row.key]!r} as "
+                          f"{row.cast.__name__}") from exc
     if row.choices is not None and value not in row.choices:
         raise ConfigError(f"config key {row.key}: {value!r} not one of {sorted(row.choices)}")
     if isinstance(value, float) and not np.isfinite(value):
@@ -205,9 +213,9 @@ def run_experiment(cfg, no_clobber=False):
     or stopped run and an aborted one (see :class:`TubeViolationError`)
     write the same two files: the trace records taken and the manifest,
     whose summary gives the final record or the abort iteration and agent.
-    When the truth has a point x*, a finished run's summary also gives
-    ``final.agent_dist_mean``, the agents' mean subspace distance to it.
-    An aborted run then re-raises.
+    A finished run's summary also gives ``final.agent_dist_mean``, the
+    agents' mean subspace distance to the generated truth x*.  An aborted
+    run then re-raises.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     trace_path = os.path.join(cfg.out_dir, "trace.csv")
@@ -229,9 +237,8 @@ def run_experiment(cfg, no_clobber=False):
         summary = {"status": trace.status, "final.iter": final.iter}
         summary.update((f"final.{name}", metrics.fmt_float(getattr(final, name))) for name in
                        ("consensus_error", "objective_at_mean", "grad_norm_sq", "dist_to_truth"))
-        if truth.x_star is not None:
-            dists = [metrics.subspace_distance(x, truth.x_star) for x in trace.points]
-            summary["final.agent_dist_mean"] = metrics.fmt_float(np.mean(dists))
+        dists = [metrics.subspace_distance(x, truth.x_star) for x in trace.points]
+        summary["final.agent_dist_mean"] = metrics.fmt_float(np.mean(dists))
     summary["timing.wall_ns"] = time.monotonic_ns() - started
     summary["network.sigma2"] = metrics.fmt_float(mixing.sigma2)
     metrics.write_trace(trace_path, aborted.records if trace is None else trace.records)
@@ -259,25 +266,22 @@ class SweepCandidate:
 @dataclass
 class SweepResult:
     best_beta: float
-    metric: str
     candidates: list
 
 
-def sweep(cfg, betas, metric="grad_norm_sq", workers=1):
+def sweep(cfg, betas, workers=1):
     """Run every step-size candidate under identical seeds and pick the best.
 
     The problem, mixing matrix and initial system are built once and shared
     by every candidate (a run mutates none of them); only the step schedule
-    differs.  ``metric`` scores the final trace record ('objective' or
-    'grad_norm_sq'); ties break toward the smaller candidate.  Candidates
+    differs.  A candidate scores the squared Riemannian gradient norm of its
+    final trace record; ties break toward the smaller candidate.  Candidates
     whose runs abort score +inf.  Candidates execute on a pool of
     ``workers`` threads; results are merged in candidate order, so the
     outcome does not depend on the worker count.
     """
     if not betas:
         raise InvalidInputError("need at least one step-size candidate")
-    if metric not in ("objective", "grad_norm_sq"):
-        raise InvalidInputError(f"unknown sweep metric {metric!r}")
     if workers < 1:
         raise InvalidInputError(f"workers must be positive, got {workers}")
     problem, truth, mixing, system, run_cfg = build_run(cfg)
@@ -289,13 +293,12 @@ def sweep(cfg, betas, metric="grad_norm_sq", workers=1):
         except TubeViolationError:
             return SweepCandidate(beta, "aborted", float("inf"), None)
         final = trace.records[-1]
-        score = final.objective_at_mean if metric == "objective" else final.grad_norm_sq
-        return SweepCandidate(beta, trace.status, float(score), final)
+        return SweepCandidate(beta, trace.status, float(final.grad_norm_sq), final)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         candidates = list(pool.map(run_candidate, betas))
     best = min(candidates, key=lambda c: (c.score, c.beta))
-    return SweepResult(best.beta, metric, candidates)
+    return SweepResult(best.beta, candidates)
 
 
 def write_sweep_summary(path, result):

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import InvalidInputError, SingularityError
 from .numerics import (
     RANK_RTOL,
-    _inverse_sqrt,
+    inverse_sqrt,
     reject_blocks,
     require_finite,
     sym,
@@ -51,7 +51,7 @@ from .numerics import (
 FEAS_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as b is an array
 class ManifoldSpec:
     """Stiefel (``b`` None) or generalized Stiefel (SPD ``b``) d-by-r matrices."""
 
@@ -63,9 +63,9 @@ class ManifoldSpec:
     d: int
     r: int
     b: np.ndarray | None = field(default=None, repr=False)
-    b_inv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    b_inv: np.ndarray | None = field(default=None, init=False, repr=False)
     # The upper Cholesky factor C of B = C'C.
-    chol: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    chol: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not (1 <= self.r <= self.d):
@@ -126,9 +126,9 @@ class ManifoldSpec:
         # columns of Cy, summed in possibly different orders, so
         # ||G - G'||_F <= 2 gamma_d tr G <= 2 gamma_d sqrt(r) ||G||_F, with
         # gamma_d = d eps/2 / (1 - d eps/2).  That stays below SYM_RTOL
-        # ||G||_F, so spd_inverse_sqrt's check cannot fire, while
-        # d sqrt(r) < about 4.5e7.
-        return y @ _inverse_sqrt(sym(self.gram(y)))
+        # ||G||_F, the asymmetry sym_eig tolerates, while d sqrt(r) < about
+        # 4.5e7.
+        return y @ inverse_sqrt(sym(self.gram(y)))
 
     def tangent_project(self, x, u):
         """Metric-orthogonal projection of u onto the tangent space at x, or
@@ -153,15 +153,11 @@ class ManifoldSpec:
     def random_point(self, rng):
         return self.project(rng.standard_normal((self.d, self.r)))
 
-    def random_tangent(self, x, rng, norm=None):
-        """A random tangent vector at x, optionally rescaled to a given
-        metric norm."""
+    def random_tangent(self, x, rng, norm):
+        """A random tangent vector at x, rescaled to the given metric norm."""
         v = self.tangent_project(x, rng.standard_normal((self.d, self.r)))
-        if norm is not None:
-            nv = self.norm(v)
-            if nv > 0:
-                v = v * (norm / nv)
-        return v
+        nv = self.norm(v)
+        return v * (norm / nv) if nv > 0 else v
 
 
 def stiefel(d, r):

@@ -11,24 +11,13 @@ optima.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .numerics import thin_svd
-
-TRACE_COLUMNS = (
-    "iter",
-    "step_size",
-    "consensus_error",
-    "objective_at_mean",
-    "grad_norm_sq",
-    "dist_to_truth",
-    "wall_ns",
-)
-
 
 @dataclass
 class TraceRecord:
@@ -41,6 +30,10 @@ class TraceRecord:
     grad_norm_sq: float
     dist_to_truth: float | None = None
     wall_ns: int | None = None
+
+
+# The trace.csv header, in field order: iter, the float metrics, wall_ns.
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 
 
 def induced_mean(spec, points):
@@ -157,15 +150,6 @@ def write_trace(path, records):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
+        floats = TRACE_COLUMNS[1:-1]
         for rec in records:
-            writer.writerow(
-                [
-                    rec.iter,
-                    fmt_float(rec.step_size),
-                    fmt_float(rec.consensus_error),
-                    fmt_float(rec.objective_at_mean),
-                    fmt_float(rec.grad_norm_sq),
-                    fmt_float(rec.dist_to_truth),
-                    "",
-                ]
-            )
+            writer.writerow([rec.iter, *(fmt_float(getattr(rec, name)) for name in floats), ""])

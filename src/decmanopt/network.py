@@ -94,7 +94,7 @@ def build_graph(topology, n, seed=0, p=None):
     raise InvalidInputError(f"unknown topology {topology!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as w is an array
 class MixingMatrix:
     """Symmetric doubly stochastic gossip weights w.
 

@@ -8,20 +8,18 @@ identical output bits.
 Every kernel takes one matrix or a stack of them with the block index
 first, shape (n, p, q) for :func:`thin_svd` and (n, r, r) for the others.
 A stack goes through batched calls, and each of its blocks gets the same
-bits as a call on that block alone.  The finite check runs once over the
-whole input; the symmetry check (``SYM_RTOL``) and the
-positive-definiteness check (``RANK_RTOL``) run on every block.  An error
-raised for a stack names the first failing block in its message and in
-its ``block`` attribute.
+bits as a call on that block alone.  An error raised for a stack names the
+first failing block in its message and in its ``block`` attribute.
 
-The inverse square root takes no eigendecomposition of a block s with
-||s - I||_F <= ``NEAR_IDENTITY``: such a block gets at most three
-Newton–Schulz steps, batched matmuls only, which converge quadratically
-from I.  Its eigenvalues lie within ``NEAR_IDENTITY`` of 1, so it passes
-the positive-definiteness check by construction, and a non-finite block
-is never near.  Every other block of the stack goes through ``eigh`` and
-the finite and positive-definiteness checks, whose errors name the block
-by its index in the whole stack.
+:func:`thin_svd` and :func:`sym_eig` reject NaN or Inf anywhere in their
+input, and :func:`sym_eig`, which checks external matrices such as a
+B-Stiefel ``b``, rejects asymmetry beyond ``SYM_RTOL`` in any block.
+:func:`inverse_sqrt` takes a gram that its caller made exactly symmetric
+(``sym``).  A block s with ||s - I||_F <= ``NEAR_IDENTITY`` gets at most
+three Newton–Schulz steps (batched matmuls, quadratically convergent from
+I); its eigenvalues lie within ``NEAR_IDENTITY`` of 1, so it is positive
+definite, and a non-finite block is never near.  Every other block goes
+through ``eigh`` and must be finite and positive definite (``RANK_RTOL``).
 """
 
 import numpy as np
@@ -93,21 +91,6 @@ def thin_svd(m):
     return u, s, vt.mT
 
 
-def _checked_symmetric(m, name):
-    """``m`` as a float array of square matrices; rejects NaN or Inf and
-    asymmetry beyond ``SYM_RTOL`` relative to a block's norm."""
-    m = require_finite(m)
-    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
-        raise InvalidInputError(f"{name} expects square matrices, got shape {m.shape}")
-    # Squared Frobenius norms per block: ||m - m'||^2 > SYM_RTOL^2 ||m||^2.
-    d = m - m.mT
-    asym_sq = np.einsum("...ij,...ij->...", d, d)
-    scale_sq = np.einsum("...ij,...ij->...", m, m)
-    reject_blocks(InvalidInputError, asym_sq > SYM_RTOL**2 * scale_sq,
-                  "matrix is not symmetric within tolerance")
-    return m
-
-
 def sym_eig(m):
     """Eigendecomposition of a symmetric matrix or of each block of a stack.
 
@@ -115,18 +98,22 @@ def sym_eig(m):
     columns v.  The input is symmetrized internally; asymmetry beyond
     ``SYM_RTOL`` relative to a block's norm is rejected.
     """
-    return np.linalg.eigh(sym(_checked_symmetric(m, "sym_eig")))
+    m = require_finite(m)
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
+        raise InvalidInputError(f"sym_eig expects square matrices, got shape {m.shape}")
+    # Squared Frobenius norms per block: ||m - m'||^2 > SYM_RTOL^2 ||m||^2.
+    d = m - m.mT
+    asym_sq = np.einsum("...ij,...ij->...", d, d)
+    scale_sq = np.einsum("...ij,...ij->...", m, m)
+    reject_blocks(InvalidInputError, asym_sq > SYM_RTOL**2 * scale_sq,
+                  "matrix is not symmetric within tolerance")
+    return np.linalg.eigh(sym(m))
 
 
-def spd_inverse_sqrt(m):
-    """Inverse square root R of an SPD matrix, satisfying R @ m @ R = I,
-    or of each block of a stack."""
-    return _inverse_sqrt(sym(_checked_symmetric(m, "spd_inverse_sqrt")))
-
-
-def _inverse_sqrt(s):
-    """:func:`spd_inverse_sqrt` without the symmetry check, for a matrix or
-    stack that the caller made exactly symmetric (``sym``)."""
+def inverse_sqrt(s):
+    """Inverse square root R of an SPD matrix s that ``sym`` made exactly
+    symmetric, satisfying R @ s @ R = I, or of each block of a stack.  The
+    symmetry is not checked."""
     eye = np.eye(s.shape[-1])
     e = s - eye
     flat = e.reshape(*e.shape[:-2], -1)

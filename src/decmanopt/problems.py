@@ -18,6 +18,8 @@ Generators are deterministic given their seed, so a seed is the whole
 dataset: every instance is regenerated, never read from disk.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import manifolds
@@ -25,12 +27,11 @@ from .errors import InvalidInputError
 from .numerics import thin_svd
 
 
-class GroundTruth:
-    """Known optimum of a generated instance (point and/or value)."""
+class GroundTruth(NamedTuple):
+    """Known optimum of a generated instance: a minimizer and its value."""
 
-    def __init__(self, x_star=None, f_star=None):
-        self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
-        self.f_star = None if f_star is None else float(f_star)
+    x_star: np.ndarray
+    f_star: float
 
 
 def _check_agent(problem, i):

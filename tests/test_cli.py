@@ -176,6 +176,15 @@ def test_sweep_writes_summary(tmp_path, capsys):
     assert "best beta" in capsys.readouterr().err
 
 
+def test_sweep_metric_objective_is_a_usage_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, **{"run.K": 5})
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--config", str(cfg), "--betas", "0.2", "--metric", "objective"])
+    assert info.value.code == 1
+    assert "invalid choice: 'objective'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_rate_study_writes_rates(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -227,3 +236,26 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "trace.csv").exists()
     assert proc.stdout == ""  # data goes to files, diagnostics to stderr
+
+
+@pytest.mark.parametrize("args, named", [
+    (["run", "--set", "problem.seed=-1"], "problem.seed"),
+    (["run", "--set", "graph.topology=er", "--set", "graph.seed=-1"], "graph.seed"),
+    (["run", "--set", "run.seed=-1"], "run.seed"),
+    (["check", "--seed", "-1", "--trials", "5"], "--seed"),
+    (["run", "--set", "out.dir=FILE"], "FILE"),
+    (["run", "--set", "out.dir=FILE/out"], "FILE"),
+], ids=["problem-seed", "graph-seed", "run-seed", "check-seed", "out-dir-file", "out-dir-under-file"])
+def test_bad_invocations_give_one_error_line(tmp_path, args, named):
+    cfg = write_cfg(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    args = [a.replace("FILE", str(blocker)) for a in args]
+    if args[0] == "run":
+        args[1:1] = ["--config", str(cfg)]
+    proc = subprocess.run([sys.executable, "-m", "decmanopt", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and named.replace("FILE", str(blocker)) in errors[0]
+    assert "Traceback" not in proc.stderr

@@ -83,6 +83,7 @@ _ALWAYS_REQUIRED = ("problem.kind", "problem.seed", "graph.topology", "algo.kind
                     "run.seed", "out.dir")
 _VALUES = {
     int: st.integers(-10**9, 10**9).map(str),
+    harness.seed: st.integers(0, 10**9).map(str),
     float: st.floats(allow_nan=False, allow_infinity=False).map(repr),
     str: st.text("abc/_.-0123456789", min_size=1),
 }
@@ -299,8 +300,8 @@ def test_sweep_single_and_duplicate_candidates(tmp_path):
 def test_sweep_selection_and_worker_independence(tmp_path):
     cfg = small_cfg(tmp_path, **{"run.K": 30})
     betas = [0.05, 0.2, 0.8]
-    res1 = harness.sweep(cfg, betas, metric="grad_norm_sq", workers=1)
-    res2 = harness.sweep(cfg, betas, metric="grad_norm_sq", workers=4)
+    res1 = harness.sweep(cfg, betas, workers=1)
+    res2 = harness.sweep(cfg, betas, workers=4)
     assert res1.best_beta == res2.best_beta
     assert [c.score for c in res1.candidates] == [c.score for c in res2.candidates]
     scores = {c.beta: c.score for c in res1.candidates}

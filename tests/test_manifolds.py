@@ -125,7 +125,7 @@ def test_tangent_project_orthogonal_decomposition():
         u = rng.standard_normal((spec.d, spec.r))
         normal_part = u - spec.tangent_project(x, u)
         for _ in range(20):
-            w = spec.random_tangent(x, rng)
+            w = spec.random_tangent(x, rng, 1.0)
             assert abs(spec.inner(normal_part, w)) <= 1e-8 * max(1.0, spec.norm(w))
 
 
@@ -148,7 +148,7 @@ def test_riemannian_gradient_degenerate_cases():
     s = rng.standard_normal((3, 3))
     normal = x @ (s + s.T)
     assert np.linalg.norm(spec.tangent_project(x, normal)) <= 1e-9
-    tangent = spec.random_tangent(x, rng)
+    tangent = spec.random_tangent(x, rng, 1.0)
     assert np.linalg.norm(spec.tangent_project(x, tangent) - tangent) <= 1e-9
 
 
@@ -349,3 +349,9 @@ def test_b_stiefel_projection_near_the_manifold_calls_no_eigh(monkeypatch):
     spec.project_stack(ys)
     assert calls == [(1, 3, 3)]
 
+
+def test_specs_compare_and_hash_by_identity():
+    b = random_spd(5, np.random.default_rng(30))
+    specs = [generalized_stiefel(5, 2, b), generalized_stiefel(5, 2, b.copy()), stiefel(5, 2)]
+    assert [s == t for s in specs for t in specs] == [s is t for s in specs for t in specs]
+    assert len({*specs, *specs}) == 3

@@ -245,3 +245,10 @@ def test_consensus_radius_ring_cross_check():
         t_oracle += 1
     assert t == t_oracle == 30
     assert m.sigma2**t < min(a, 0.5) <= m.sigma2 ** (t - 1)
+
+
+def test_mixing_matrices_compare_and_hash_by_identity():
+    graph = build_graph("ring", 5)
+    m1, m2 = metropolis_weights(graph), metropolis_weights(graph)
+    assert m1 == m1 and m1 != m2
+    assert len({m1, m2, m1}) == 2
