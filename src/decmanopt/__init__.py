@@ -35,7 +35,6 @@ from .metrics import (
     write_trace,
 )
 from .network import (
-    Graph,
     MixingMatrix,
     build_graph,
     consensus_radius_t,

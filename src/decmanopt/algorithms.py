@@ -65,8 +65,10 @@ class RunConfig:
     ``t`` is the number of gossip rounds per iteration.  ``stop_eps``, when
     set, stops the run at the first recorded iteration where both the
     consensus error and the squared gradient norm at the induced mean fall
-    below it.  Records are taken every ``trace_every`` iterations (the mean
-    projection costs an SVD, so the cadence is the metric-cost knob).
+    below it.  Records are taken every ``trace_every`` iterations.  A record
+    costs a mean projection (an SVD on Stiefel, Newton-Schulz steps or
+    ``eigh`` on B-Stiefel) plus a full-data gradient at the mean, so the
+    cadence is the metric-cost knob.
     """
 
     algorithm: str = DPRGT

@@ -115,7 +115,7 @@ def _cmd_check(args):
     )
     print(
         f"max_ratio_lip={report.max_ratio_lip:.6f} max_ratio_quad={report.max_ratio_quad:.6f} "
-        f"trials={report.trials} skipped={report.skipped}",
+        f"trials={report.trials}",
         file=sys.stderr,
     )
     return 0

@@ -178,7 +178,6 @@ class ProjectionProbeReport:
     max_ratio_lip: float
     max_ratio_quad: float
     trials: int
-    skipped: int
 
 
 def check_projection_lipschitz(spec, trials, noise_scale=None, seed=0):
@@ -193,8 +192,10 @@ def check_projection_lipschitz(spec, trials, noise_scale=None, seed=0):
     * max ||P(x+u) - x - P_T(u)|| / ||u||^2   (quadratic ratio).
 
     Keeping ||u|| >= s/2 keeps the quadratic ratio above the roundoff of x's
-    own feasibility at small s.  Samples where the projection is undefined
-    are skipped and counted.
+    own feasibility at small s.  Every sample is projectable: Cx has
+    orthonormal columns (C = I on Stiefel, B = C'C otherwise) and
+    ||Cu||_2 <= ||u|| <= s <= gamma = 1/2, so every singular value of C(x+u)
+    is at least 1/2.
     """
     if trials < 1:
         raise InvalidInputError("trials must be at least 1")
@@ -205,19 +206,14 @@ def check_projection_lipschitz(spec, trials, noise_scale=None, seed=0):
     rng = np.random.default_rng(seed)
     max_lip = 0.0
     max_quad = 0.0
-    skipped = 0
     for _ in range(trials):
-        try:
-            x = spec.random_point(rng)
-            u = rng.standard_normal((spec.d, spec.r))
-            up = rng.standard_normal((spec.d, spec.r))
-            u *= rng.uniform(0.5 * noise_scale, noise_scale) / max(spec.norm(u), 1e-300)
-            up *= rng.uniform(0.5 * noise_scale, noise_scale) / max(spec.norm(up), 1e-300)
-            pu = spec.project(x + u)
-            pup = spec.project(x + up)
-        except SingularityError:
-            skipped += 1
-            continue
+        x = spec.random_point(rng)
+        u = rng.standard_normal((spec.d, spec.r))
+        up = rng.standard_normal((spec.d, spec.r))
+        u *= rng.uniform(0.5 * noise_scale, noise_scale) / max(spec.norm(u), 1e-300)
+        up *= rng.uniform(0.5 * noise_scale, noise_scale) / max(spec.norm(up), 1e-300)
+        pu = spec.project(x + u)
+        pup = spec.project(x + up)
         du = spec.norm(u - up)
         if du > 1e-12:
             max_lip = max(max_lip, spec.norm(pu - pup) / du)
@@ -225,4 +221,4 @@ def check_projection_lipschitz(spec, trials, noise_scale=None, seed=0):
         if nu > 1e-12:
             quad = spec.norm(pu - x - spec.tangent_project(x, u)) / nu**2
             max_quad = max(max_quad, quad)
-    return ProjectionProbeReport(max_lip, max_quad, trials, skipped)
+    return ProjectionProbeReport(max_lip, max_quad, trials)

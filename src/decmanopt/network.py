@@ -1,9 +1,9 @@
 """Communication graphs and gossip mixing.
 
-Provides ring / complete / Erdos-Renyi topologies, Metropolis constant
-edge weights (symmetric, doubly stochastic, positive diagonal), the
-second-largest singular value sigma2 that governs gossip contraction, and
-the t-step mixing map applied to stacked agent states.
+Provides ring / complete / Erdos-Renyi topologies as adjacency matrices,
+Metropolis constant edge weights (symmetric, doubly stochastic, positive
+diagonal), the second-largest singular value sigma2 that governs gossip
+contraction, and the t-step mixing map applied to stacked agent states.
 """
 
 from dataclasses import dataclass, field
@@ -18,56 +18,24 @@ COMPLETE = "complete"
 ERDOS_RENYI = "er"
 
 
-def _normalize_edge(i, j):
-    if i == j:
-        raise InvalidInputError("self loops are not allowed")
-    return (i, j) if i < j else (j, i)
-
-
-@dataclass(frozen=True)
-class Graph:
-    """Undirected connected agent network on vertices 0..n-1."""
-
-    n: int
-    edges: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise InvalidInputError("need at least 2 agents")
-        edges = frozenset(_normalize_edge(i, j) for i, j in self.edges)
-        for i, j in edges:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise InvalidInputError(f"edge ({i}, {j}) out of range for n={self.n}")
-        object.__setattr__(self, "edges", edges)
-        if not _connected(self.n, edges):
-            raise InvalidInputError("graph is not connected")
-
-    def degrees(self):
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
-
-def _connected(n, edges):
-    adj = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
+def _connected(adj):
+    nbrs = [[] for _ in adj]
+    for i, j in zip(*(a.tolist() for a in np.nonzero(adj))):
+        nbrs[i].append(j)
     seen = {0}
     stack = [0]
     while stack:
-        for k in adj[stack.pop()]:
+        for k in nbrs[stack.pop()]:
             if k not in seen:
                 seen.add(k)
                 stack.append(k)
-    return len(seen) == n
+    return len(seen) == len(adj)
 
 
 def build_graph(topology, n, seed=0, p=None):
-    """Construct a ring, complete, or Erdos-Renyi graph, deterministically.
+    """A ring, complete, or Erdos-Renyi graph as its adjacency matrix.
 
+    The graph is a symmetric boolean (n, n) array with a zero diagonal.
     Erdos-Renyi includes each pair independently with probability p using
     the seeded generator; if the sample is disconnected, ring edges
     (i, i+1 mod n) are added in order until it is connected.  Repairing
@@ -75,22 +43,24 @@ def build_graph(topology, n, seed=0, p=None):
     """
     if n < 2:
         raise InvalidInputError("need at least 2 agents")
-    ring_edges = [_normalize_edge(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1)]
-    if topology == RING:
-        return Graph(n, frozenset(ring_edges))
     if topology == COMPLETE:
-        return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+        return ~np.eye(n, dtype=bool)
+    adj = np.zeros((n, n), dtype=bool)
+    nxt = np.roll(np.arange(n), -1)  # i + 1 mod n
+    if topology == RING:
+        adj[np.arange(n), nxt] = adj[nxt, np.arange(n)] = True
+        return adj
     if topology == ERDOS_RENYI:
         if p is None or not (0.0 < p <= 1.0):
             raise InvalidInputError("Erdos-Renyi requires p in (0, 1]")
         rows, cols = np.triu_indices(n, 1)  # pairs (i, j), i < j, row by row
         keep = np.random.default_rng(seed).uniform(size=rows.size) < p
-        edges = set(zip(rows[keep].tolist(), cols[keep].tolist()))
-        for e in ring_edges:
-            if _connected(n, edges):
+        adj[rows[keep], cols[keep]] = adj[cols[keep], rows[keep]] = True
+        for i, j in enumerate(nxt.tolist()):
+            if _connected(adj):
                 break
-            edges.add(e)
-        return Graph(n, frozenset(edges))
+            adj[i, j] = adj[j, i] = True
+        return adj
     raise InvalidInputError(f"unknown topology {topology!r}")
 
 
@@ -130,16 +100,22 @@ class MixingMatrix:
         return 2.0 * self.sigma2**t
 
 
-def metropolis_weights(g):
+def metropolis_weights(adj):
     """Metropolis constant edge weights for a connected graph.
 
-    W_ij = 1 / (1 + max(deg_i, deg_j)) on edges, rows filled to one on the
-    diagonal.
+    ``adj`` is the adjacency matrix: square, n >= 2, symmetric, without
+    self loops and connected.  W_ij = 1 / (1 + max(deg_i, deg_j)) on edges,
+    rows filled to one on the diagonal.
     """
-    deg = g.degrees()
-    w = np.zeros((g.n, g.n))
-    for i, j in sorted(g.edges):
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    adj = np.asarray(adj, dtype=bool)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.shape[0] < 2:
+        raise InvalidInputError(f"adjacency must be square with n >= 2, got shape {adj.shape}")
+    if np.any(adj != adj.T) or np.any(adj.diagonal()):
+        raise InvalidInputError("adjacency must be symmetric, without self loops")
+    if not _connected(adj):
+        raise InvalidInputError("graph is not connected")
+    deg = adj.sum(axis=1)
+    w = np.where(adj, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return MixingMatrix(w)
 

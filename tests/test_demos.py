@@ -15,3 +15,11 @@ def test_demo_runs(name, capsys):
     spec.loader.exec_module(demo)
     demo.main(**SMALL.get(name, {}))
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (DEMOS.parent / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md (Library example)", "exec"), {})
+    assert capsys.readouterr().out.strip()

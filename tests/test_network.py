@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decmanopt.errors import InvalidInputError
 from decmanopt.network import (
-    Graph,
     MixingMatrix,
     build_graph,
     consensus_radius_t,
@@ -17,23 +17,43 @@ from decmanopt.network import (
 )
 
 
+def _edges(adj):
+    return {(i, j) for i, j in zip(*np.nonzero(adj)) if i < j}
+
+
+def _connected(adj):
+    return scipy.sparse.csgraph.connected_components(adj, directed=False)[0] == 1
+
+
+@pytest.mark.parametrize("topology", ["ring", "complete", "er"])
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 16])
+def test_every_topology_gives_a_symmetric_boolean_adjacency(topology, n):
+    for seed in range(5):
+        adj = build_graph(topology, n, seed=seed, p=0.3)
+        assert adj.dtype == bool and adj.shape == (n, n)
+        assert np.array_equal(adj, adj.T)
+        assert not adj.diagonal().any()
+        assert _connected(adj)
+
+
 def test_ring_shape():
-    g = build_graph("ring", 8)
-    assert len(g.edges) == 8
-    assert np.all(g.degrees() == 2)
+    adj = build_graph("ring", 8)
+    assert len(_edges(adj)) == 8
+    assert np.all(adj.sum(axis=1) == 2)
+    assert _edges(build_graph("ring", 2)) == {(0, 1)}
 
 
 def test_complete_shape():
-    g = build_graph("complete", 4)
-    assert len(g.edges) == 6
+    for n in (2, 4, 9):
+        assert len(_edges(build_graph("complete", n))) == n * (n - 1) // 2
 
 
 def test_erdos_renyi_connected_and_reproducible():
     g1 = build_graph("er", 8, seed=7, p=0.6)
     g2 = build_graph("er", 8, seed=7, p=0.6)
-    assert g1.edges == g2.edges
-    assert 7 <= len(g1.edges) <= 28
-    assert build_graph("er", 8, seed=8, p=0.6).edges != g1.edges
+    assert np.array_equal(g1, g2)
+    assert 7 <= len(_edges(g1)) <= 28
+    assert not np.array_equal(build_graph("er", 8, seed=8, p=0.6), g1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
@@ -46,27 +66,71 @@ def test_erdos_renyi_draws_one_uniform_per_pair_in_row_order(n, p):
         rng = np.random.default_rng(seed)
         sample = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < p}
         for k in range(len(ring) + 1):
-            try:
-                expected = Graph(n, frozenset(sample.union(ring[:k])))
+            expected = np.zeros((n, n), dtype=bool)
+            for i, j in sample.union(ring[:k]):
+                expected[i, j] = expected[j, i] = True
+            if _connected(expected):
                 break
-            except InvalidInputError:
-                pass
-        assert build_graph("er", n, seed=seed, p=p).edges == expected.edges
+        assert np.array_equal(build_graph("er", n, seed=seed, p=p), expected)
 
 
 def test_erdos_renyi_repair_low_p():
     # Tiny p almost surely samples a disconnected graph; repair must connect it.
-    g = build_graph("er", 12, seed=0, p=0.01)
-    assert Graph(g.n, g.edges)  # construction revalidates connectivity
+    adj = build_graph("er", 12, seed=0, p=0.01)
+    assert _connected(adj)
+    metropolis_weights(adj)  # revalidates connectivity
 
 
 def test_graph_validation():
     with pytest.raises(InvalidInputError):
-        Graph(4, frozenset({(0, 1)}))  # disconnected
-    with pytest.raises(InvalidInputError):
-        Graph(2, frozenset({(0, 0), (0, 1)}))  # self loop
-    with pytest.raises(InvalidInputError):
         build_graph("er", 4, seed=0, p=0.0)
+    with pytest.raises(InvalidInputError):
+        build_graph("ring", 1)
+    with pytest.raises(InvalidInputError):
+        build_graph("star", 4)
+
+
+def _adjacency(n, edges):
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = True
+    return adj
+
+
+@pytest.mark.parametrize(
+    "adj",
+    [
+        np.ones((2, 3), dtype=bool),  # not square
+        np.ones((2, 2, 2), dtype=bool),  # not a matrix
+        np.zeros((1, 1), dtype=bool),  # a single agent
+        np.array([[False, True, False], [False, False, True], [True, True, False]]),  # asymmetric
+        _adjacency(2, [(0, 0), (0, 1)]),  # self loop
+        _adjacency(4, [(0, 1)]),  # disconnected
+        _adjacency(4, [(0, 1), (2, 3)]),  # disconnected, no isolated vertex
+    ],
+)
+def test_metropolis_rejects_invalid_adjacency(adj):
+    with pytest.raises(InvalidInputError):
+        metropolis_weights(adj)
+
+
+def _metropolis_edge_loop(adj):
+    """The weights as a loop over sorted edges, one scalar at a time."""
+    n = len(adj)
+    deg = adj.sum(axis=1)
+    w = np.zeros((n, n))
+    for i, j in sorted(_edges(adj)):
+        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w
+
+
+def test_metropolis_weights_equal_the_edge_loop_bitwise():
+    for n in range(2, 33):
+        graphs = [build_graph("ring", n), build_graph("complete", n)]
+        graphs += [build_graph("er", n, seed=seed, p=p) for seed in range(3) for p in (0.05, 0.3, 0.6)]
+        for adj in graphs:
+            assert metropolis_weights(adj).w.tobytes() == _metropolis_edge_loop(adj).tobytes()
 
 
 def test_metropolis_complete_is_uniform():
@@ -133,7 +197,7 @@ def _graphs(max_n):
 def test_derived_mixing_matrix_properties(g, t, seed):
     m = metropolis_weights(g)
     assert abs(m.sigma2 - scipy.linalg.svdvals(m.w)[1]) <= 1e-12
-    x = np.random.default_rng(seed).standard_normal((g.n, 4, 2))
+    x = np.random.default_rng(seed).standard_normal((len(g), 4, 2))
     y = mix(m, x, t)
     scale = max(1.0, float(np.max(np.abs(x))))
     assert np.max(np.abs(y.mean(axis=0) - x.mean(axis=0))) <= 1e-12 * scale
@@ -144,13 +208,13 @@ def _agent_stacks(draw):
     """A Metropolis matrix on 2..8 agents and an agent stack of shape (n,),
     (n, d) or (n, d, r), possibly a non-contiguous view."""
     g = draw(_graphs(8))
-    shape = (g.n, *draw(st.lists(st.integers(1, 5), max_size=2)))
+    shape = (len(g), *draw(st.lists(st.integers(1, 5), max_size=2)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     layout = draw(st.sampled_from(["contiguous", "strided", "transposed"]))
     if layout == "strided":  # every second entry along every axis
         xs = rng.standard_normal(tuple(2 * s for s in shape))[(slice(None, None, 2),) * len(shape)]
     elif layout == "transposed" and len(shape) == 3:
-        xs = rng.standard_normal((g.n, shape[2], shape[1])).swapaxes(1, 2)
+        xs = rng.standard_normal((len(g), shape[2], shape[1])).swapaxes(1, 2)
     else:
         xs = rng.standard_normal(shape)
     return metropolis_weights(g), xs
