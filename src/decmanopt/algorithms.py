@@ -62,20 +62,16 @@ class StepSchedule:
 class RunConfig:
     """What to run and for how long.
 
-    ``t`` is the number of gossip rounds per iteration.  ``stop_eps``, when
-    set, stops the run at the first recorded iteration where both the
-    consensus error and the squared gradient norm at the induced mean fall
-    below it.  Records are taken every ``trace_every`` iterations.  A record
-    costs a mean projection (an SVD on Stiefel, Newton-Schulz steps or
-    ``eigh`` on B-Stiefel) plus a full-data gradient at the mean, so the
-    cadence is the metric-cost knob.
+    ``t`` is the number of gossip rounds per iteration.  Records are taken
+    every ``trace_every`` iterations.  A record costs a mean projection (an
+    SVD on Stiefel, Newton-Schulz steps or ``eigh`` on B-Stiefel) plus a
+    full-data gradient at the mean, so the cadence is the metric-cost knob.
     """
 
     algorithm: str = DPRGT
     t: int = 1
     schedule: StepSchedule = field(default_factory=StepSchedule)
     max_iters: int = 1000
-    stop_eps: float | None = None
     trace_every: int = 1
 
     def __post_init__(self):
@@ -118,7 +114,8 @@ def init_system(problem, mode=INIT_IDENTICAL, seed=0, delta=0.0):
 @dataclass
 class Trace:
     """Result of a run: recorded metrics, the final agent states, and for
-    DPRGT the tracking diagnostics.
+    DPRGT the tracking diagnostics.  ``status`` is ``completed``: a run that
+    leaves the regime raises :class:`TubeViolationError` instead.
 
     ``points`` is the (n, d, r) stack of the last iterate.  For DPRGT runs,
     ``s_hat_norm_sq[k]`` is ||(1/n) sum_i s_i||^2 and ``tracking_gap[k]``
@@ -162,8 +159,7 @@ def run(cfg, problem, mixing, points, truth=None):
     non-finite state or gradient, stops the run, it raises
     :class:`TubeViolationError` carrying the iteration, the offending agent,
     and the records so far (numpy's floating-point warnings are silenced:
-    the error reports the failure).  The run is ``stopped`` when
-    ``cfg.stop_eps`` is met before the last iteration, else ``completed``.
+    the error reports the failure); otherwise the run is ``completed``.
     """
     n = points.shape[0]
     if problem.n_agents != n or mixing.n != n:
@@ -171,7 +167,6 @@ def run(cfg, problem, mixing, points, truth=None):
     spec, algorithm = problem.spec, cfg.algorithm
     t_start = time.monotonic_ns()
     records, diagnostics = [], []
-    status = "completed"
     k = 0
     try:
         if algorithm == DPRGT:
@@ -203,15 +198,10 @@ def run(cfg, problem, mixing, points, truth=None):
                 gap = float(np.linalg.norm(s_hat - np.add.reduce(grads, axis=0) / n))
                 diagnostics.append((float(np.sum(s_hat * s_hat)), gap))
             if k % cfg.trace_every == 0 or k == cfg.max_iters:
-                rec = _measure(k, alpha, points, problem, truth, t_start)
-                records.append(rec)
-                eps = cfg.stop_eps
-                if eps is not None and rec.consensus_error <= eps and rec.grad_norm_sq <= eps:
-                    status = "stopped" if k < cfg.max_iters else "completed"
-                    break
+                records.append(_measure(k, alpha, points, problem, truth, t_start))
     except (SingularityError, NonFiniteError) as exc:
         err = TubeViolationError(k, getattr(exc, "block", None), str(exc))
         err.records = records
         raise err from exc
     s_hat_sq, gaps = (np.array(col) for col in zip(*diagnostics)) if diagnostics else (None, None)
-    return Trace(records, status, points, s_hat_sq, gaps)
+    return Trace(records, "completed", points, s_hat_sq, gaps)

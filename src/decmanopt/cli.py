@@ -44,7 +44,6 @@ def _build_parser():
 
     runp = sub.add_parser("run", help="run one experiment")
     add_run_flags(runp)
-    runp.add_argument("--no-clobber", action="store_true", help="refuse to overwrite outputs")
 
     sweepp = sub.add_parser("sweep", help="grid-search the step-size coefficient")
     add_run_flags(sweepp)
@@ -66,7 +65,7 @@ def _build_parser():
 
 def _cmd_run(args):
     cfg = harness.load_config(args.config, args.set)
-    trace_path = harness.run_experiment(cfg, no_clobber=args.no_clobber)
+    trace_path = harness.run_experiment(cfg)
     print(f"trace written to {trace_path}", file=sys.stderr)
     return 0
 

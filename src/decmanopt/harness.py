@@ -42,7 +42,7 @@ class ConfigKey(NamedTuple):
     """One config key: its ``ExperimentConfig`` attribute, how a raw value is
     parsed, and the default when the key is absent.  A callable default is
     a function of the values resolved so far (by attribute) and may return
-    ``_REQUIRED``; ``None`` marks an optional key left out of the echo."""
+    ``_REQUIRED``."""
 
     key: str
     attr: str
@@ -84,7 +84,6 @@ CONFIG_KEYS = (
     ConfigKey("run.init", "init_mode", str, "identical", ("identical", "perturbed")),
     ConfigKey("run.delta", "delta", float, 0.1),
     ConfigKey("out.dir", "out_dir", str),
-    ConfigKey("run.eps", "eps", float, None),
 )
 _KNOWN_KEYS = frozenset(row.key for row in CONFIG_KEYS)
 
@@ -143,6 +142,8 @@ def _resolve(raw, row, default):
         if default is _REQUIRED:
             raise ConfigError(f"missing required config key {row.key}")
         return default
+    if "#" in (text := str(raw[row.key])) or text.splitlines() not in ([], [text]):
+        raise ConfigError(f"config key {row.key}: {text!r}: a value cannot hold '#' or a line break")
     try:
         value = row.cast(raw[row.key])
     except ValueError as exc:
@@ -164,7 +165,7 @@ def resolve_config(raw):
     unknown = [k for k in raw if k not in _KNOWN_KEYS and not _reserved(k)]
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]}")
-    echo = tuple((row.key, value) for row in CONFIG_KEYS if (value := done[row.attr]) is not None)
+    echo = tuple((row.key, done[row.attr]) for row in CONFIG_KEYS)
     return ExperimentConfig(**done, echo=echo)
 
 
@@ -200,28 +201,25 @@ def build_run(cfg):
         t=cfg.t,
         schedule=schedule,
         max_iters=cfg.max_iters,
-        stop_eps=cfg.eps,
         trace_every=cfg.trace_every,
     )
     return problem, truth, mixing, system, run_cfg
 
 
-def run_experiment(cfg, no_clobber=False):
+def run_experiment(cfg):
     """Build, run, and persist one experiment; returns the trace path.
 
-    Output files are overwritten unless ``no_clobber`` is set.  A completed
-    or stopped run and an aborted one (see :class:`TubeViolationError`)
-    write the same two files: the trace records taken and the manifest,
-    whose summary gives the final record or the abort iteration and agent.
-    A finished run's summary also gives ``final.agent_dist_mean``, the
-    agents' mean subspace distance to the generated truth x*.  An aborted
-    run then re-raises.
+    Output files are overwritten: they are a pure function of the config.
+    A completed run and one that leaves the regime (and so raises
+    :class:`TubeViolationError`) write the same two files: the trace
+    records taken and the manifest, whose summary gives the final record
+    or the abort iteration and agent.  A completed run's summary also
+    gives ``final.agent_dist_mean``, the agents' mean subspace distance to
+    the generated truth x*.  An aborted run then re-raises.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     trace_path = os.path.join(cfg.out_dir, "trace.csv")
     manifest_path = os.path.join(cfg.out_dir, "manifest.txt")
-    if no_clobber and (os.path.exists(trace_path) or os.path.exists(manifest_path)):
-        raise ConfigError(f"output exists in {cfg.out_dir} and --no-clobber is set")
     problem, truth, mixing, system, run_cfg = build_run(cfg)
     started = time.monotonic_ns()
     trace = aborted = None

@@ -142,6 +142,8 @@ def consensus_radius_t(m, gamma, zeta, n):
     gamma / (24 sqrt(n) zeta), found by direct scan.  ``zeta`` is a bound on
     the manifold diameter.  For sigma2 = 0 a single round suffices.
     """
+    if n != m.n:
+        raise InvalidInputError(f"n={n} disagrees with the mixing matrix's {m.n} agents")
     if gamma <= 0 or zeta <= 0:
         raise InvalidInputError("gamma and zeta must be positive")
     if not (0.0 <= m.sigma2 < 1.0):

@@ -224,30 +224,6 @@ def test_run_zero_iterations():
     assert trace.records[0].iter == 0
 
 
-def test_run_huge_eps_stops_immediately():
-    problem, truth = gen_pca_data(4, 50, 8, 3, 0.8, seed=19)
-    m = metropolis_weights(build_graph("ring", 4))
-    points = init_system(problem, "identical", seed=20)
-    cfg = RunConfig(algorithm="dprgd", schedule=StepSchedule("constant", 0.1),
-                    max_iters=100, stop_eps=1e6)
-    trace = run(cfg, problem, m, points, truth)
-    assert trace.status == "stopped"
-    assert len(trace.records) == 1 and trace.records[0].iter == 0
-
-
-def test_run_without_iterations_completes_when_eps_is_met():
-    # With K=0 no iteration is left to skip, so meeting eps at record 0 is
-    # a completed run.
-    problem, truth = gen_pca_data(4, 50, 8, 3, 0.8, seed=19)
-    m = metropolis_weights(build_graph("ring", 4))
-    points = init_system(problem, "identical", seed=20)
-    cfg = RunConfig(algorithm="dprgd", schedule=StepSchedule("constant", 0.1),
-                    max_iters=0, stop_eps=1e6)
-    trace = run(cfg, problem, m, points, truth)
-    assert trace.status == "completed"
-    assert len(trace.records) == 1 and trace.records[0].iter == 0
-
-
 def test_run_trace_row_count():
     problem, truth = gen_pca_data(4, 50, 8, 3, 0.8, seed=21)
     m = metropolis_weights(build_graph("ring", 4))
@@ -357,19 +333,6 @@ def test_consensus_error_contracts_up_to_rate_bound():
     for k in range(len(errors) - 1):
         if errors[k] > 1e-13:
             assert errors[k + 1] <= rho * errors[k] + 1e-12
-
-
-def test_run_early_stop_mid_run():
-    problem, truth = gen_pca_data(4, 50, 8, 3, 0.8, seed=36)
-    m = metropolis_weights(build_graph("complete", 4))
-    points = init_system(problem, "identical", seed=37)
-    cfg = RunConfig(algorithm="dprgt", schedule=StepSchedule("constant", 1.0),
-                    max_iters=5000, stop_eps=1e-12, trace_every=10)
-    trace = run(cfg, problem, m, points, truth)
-    assert trace.status == "stopped"
-    final = trace.records[-1]
-    assert final.iter < 5000
-    assert final.consensus_error <= 1e-12 and final.grad_norm_sq <= 1e-12
 
 
 def test_dprgt_tuned_step_recovers_optimum():

@@ -81,8 +81,23 @@ def test_run_workers_flag_does_not_change_trace(tmp_path):
 def test_run_set_override_and_no_clobber(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["run", "--config", str(cfg), "--set", "run.K=10"]) == 0
-    assert main(["run", "--config", str(cfg), "--no-clobber"]) == 1
-    assert "no-clobber" in capsys.readouterr().err
+    assert "run.K=10" in (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    # outputs are a pure function of the config, so a run always overwrites
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--config", str(cfg), "--no-clobber"])
+    assert info.value.code == 1
+    assert "unrecognized arguments: --no-clobber" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tail", ["run#1", "run\n1", "run\u20281"], ids=["hash", "lf", "ls"])
+def test_run_rejects_a_value_its_manifest_cannot_echo(tmp_path, capsys, tail):
+    # The manifest is read back line by line and cut at '#', so re-running
+    # it would write somewhere else; such a value is refused up front.
+    out = f"{tmp_path}/{tail}"
+    assert main(["run", "--config", str(write_cfg(tmp_path)), "--set", f"out.dir={out}"]) == 1
+    assert capsys.readouterr().err == (f"error: config key out.dir: {out!r}: "
+                                       "a value cannot hold '#' or a line break\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
 def test_run_abort_exit_code(tmp_path, monkeypatch):
@@ -162,7 +177,7 @@ def test_dataset_bundles_are_gone(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config key problem.kind: 'bundle'")
 
 
-@pytest.mark.parametrize("key", ["metrics.agent_dist", "out.points"])
+@pytest.mark.parametrize("key", ["metrics.agent_dist", "out.points", "run.eps"])
 def test_removed_output_options_are_unknown_keys(tmp_path, capsys, key):
     cfg = write_cfg(tmp_path)
     assert main(["run", "--config", str(cfg), "--set", f"{key}=true"]) == 1

@@ -298,6 +298,13 @@ def test_consensus_radius_vanishing_sigma2():
     assert consensus_radius_t(m, 0.5, 1.0, 4) == 1
 
 
+def test_consensus_radius_rejects_an_n_the_mixing_matrix_does_not_have():
+    # t grows with sqrt(n): ring(8) with n=16 would answer for another network.
+    m = metropolis_weights(build_graph("ring", 8))
+    with pytest.raises(InvalidInputError, match="n=16 disagrees with the mixing matrix's 8 agents"):
+        consensus_radius_t(m, 0.5, 2.0 * math.sqrt(5.0), 16)
+
+
 def test_consensus_radius_ring_cross_check():
     m = metropolis_weights(build_graph("ring", 8))
     gamma, zeta, n = 0.5, 2.0 * math.sqrt(5.0), 8
