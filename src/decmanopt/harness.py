@@ -158,13 +158,13 @@ def _resolve(raw, row, default):
 
 def resolve_config(raw):
     """Validate and type the raw mapping; unknown keys are rejected."""
+    unknown = [k for k in raw if k not in _KNOWN_KEYS and not _reserved(k)]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]}")
     done = {}
     for row in CONFIG_KEYS:
         default = row.default(done) if callable(row.default) else row.default
         done[row.attr] = _resolve(raw, row, default)
-    unknown = [k for k in raw if k not in _KNOWN_KEYS and not _reserved(k)]
-    if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]}")
     echo = tuple((row.key, done[row.attr]) for row in CONFIG_KEYS)
     return ExperimentConfig(**done, echo=echo)
 

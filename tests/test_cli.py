@@ -1,11 +1,12 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from decmanopt import algorithms, problems
-from decmanopt.cli import main
+from decmanopt.cli import _build_parser, main
 from decmanopt.errors import TubeViolationError
 
 
@@ -37,14 +38,17 @@ def test_no_subcommand_prints_usage(capsys):
 
 
 def test_unknown_flag_exits_one_naming_token(capsys):
+    # A leftover argument is reported with its subcommand's usage line.
     with pytest.raises(SystemExit) as info:
-        main(["run", "--bogus"])
+        main(["run", "--set", "problem.kind=pca", "--bogus"])
     assert info.value.code == 1
-    assert "--bogus" in capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("usage: decmanopt run [-h]")
+    assert lines[-1] == "decmanopt run: error: unrecognized arguments: --bogus"
 
 
 def test_help_exits_zero():
-    for cmd in ("run", "sweep", "rate-study", "check"):
+    for cmd in _build_parser().commands:
         with pytest.raises(SystemExit) as info:
             main([cmd, "--help"])
         assert info.value.code == 0
@@ -182,6 +186,9 @@ def test_removed_output_options_are_unknown_keys(tmp_path, capsys, key):
     cfg = write_cfg(tmp_path)
     assert main(["run", "--config", str(cfg), "--set", f"{key}=true"]) == 1
     assert capsys.readouterr().err == f"error: unknown config key {key}\n"
+    # named before any missing required key
+    assert main(["run", "--set", f"{key}=true"]) == 1
+    assert capsys.readouterr().err == f"error: unknown config key {key}\n"
 
 
 def test_sweep_writes_summary(tmp_path, capsys):
@@ -200,45 +207,11 @@ def test_sweep_metric_objective_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_rate_study_writes_rates(tmp_path):
-    cfg = write_cfg(
-        tmp_path,
-        **{"algo.kind": "consensus", "run.init": "perturbed", "run.K": 50},
-    )
-    assert main(["rate-study", "--config", str(cfg)]) == 0
-    assert (tmp_path / "out" / "rates.csv").exists()
-
-
-def test_check_stiefel(capsys):
-    assert main(["check", "--manifold", "stiefel", "--d", "8", "--r", "3",
-                 "--trials", "50"]) == 0
-    err = capsys.readouterr().err
-    assert "max_ratio_lip" in err and "max_ratio_quad" in err
-
-
-def test_check_generalized(capsys):
-    assert main(["check", "--manifold", "generalized-stiefel", "--d", "6", "--r", "2",
-                 "--trials", "20"]) == 0
-    assert "max_ratio_lip" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("scale", ["-0.1", "0"])
-def test_check_rejects_nonpositive_noise_scale(capsys, scale):
-    assert main(["check", "--trials", "5", "--noise-scale", scale]) == 1
-    assert "error: noise_scale" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("d", ["0", "-2"])
-def test_check_generalized_rejects_nonpositive_size(d):
-    proc = subprocess.run(
-        [sys.executable, "-m", "decmanopt", "check", "--manifold", "generalized-stiefel",
-         "--d", d, "--trials", "5"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: need d >= 1")
-    assert "Traceback" not in proc.stderr
+def test_readme_cli_block_names_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    named = [line.split()[1] for line in block.splitlines() if line.startswith("decmanopt ")]
+    assert sorted(named) == sorted(_build_parser().commands)
 
 
 def test_console_entry_point(tmp_path):
@@ -257,10 +230,13 @@ def test_console_entry_point(tmp_path):
     (["run", "--set", "problem.seed=-1"], "problem.seed"),
     (["run", "--set", "graph.topology=er", "--set", "graph.seed=-1"], "graph.seed"),
     (["run", "--set", "run.seed=-1"], "run.seed"),
-    (["check", "--seed", "-1", "--trials", "5"], "--seed"),
     (["run", "--set", "out.dir=FILE"], "FILE"),
     (["run", "--set", "out.dir=FILE/out"], "FILE"),
-], ids=["problem-seed", "graph-seed", "run-seed", "check-seed", "out-dir-file", "out-dir-under-file"])
+    # the projection probes and the rate study are library calls only
+    (["check", "--trials", "5"], "invalid choice: 'check'"),
+    (["rate-study"], "invalid choice: 'rate-study'"),
+], ids=["problem-seed", "graph-seed", "run-seed", "out-dir-file", "out-dir-under-file",
+        "removed-check", "removed-rate-study"])
 def test_bad_invocations_give_one_error_line(tmp_path, args, named):
     cfg = write_cfg(tmp_path)
     blocker = tmp_path / "blocker"

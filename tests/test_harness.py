@@ -173,6 +173,9 @@ def test_overrides_and_unknown_keys(tmp_path):
     assert "run.bogus" in str(info.value)
     with pytest.raises(ConfigError):
         harness.apply_overrides(raw, ["novalue"])
+    # an unknown key is named before any missing required key
+    with pytest.raises(ConfigError, match="^unknown config key run.eps$"):
+        harness.resolve_config({"run.eps": "1e-10"})
 
 
 @pytest.mark.parametrize("algo", ["dprgd", "dprgt"])

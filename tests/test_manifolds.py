@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decmanopt.errors import SingularityError
+from decmanopt.errors import InvalidInputError, SingularityError
 from decmanopt.manifolds import check_projection_lipschitz, generalized_stiefel, stiefel
 from decmanopt.numerics import NEAR_IDENTITY, sym
 from decmanopt.problems import GevpProblem, PcaProblem, gevp_constraint
@@ -254,6 +254,15 @@ def test_projection_probe_lipschitz_bound():
     report = check_projection_lipschitz(spec, trials=500, noise_scale=0.3, seed=13)
     assert report.max_ratio_lip <= 2.0
     assert np.isfinite(report.max_ratio_quad)
+
+
+def test_projection_probe_rejects_bad_inputs():
+    spec = stiefel(10, 5)
+    for scale in (-0.1, 0.0, spec.gamma * 1.01):
+        with pytest.raises(InvalidInputError, match=r"noise_scale must lie in \(0, gamma\]"):
+            check_projection_lipschitz(spec, trials=5, noise_scale=scale)
+    with pytest.raises(InvalidInputError, match="trials must be at least 1"):
+        check_projection_lipschitz(spec, trials=0)
 
 
 def test_b_stiefel_projection_lemma():

@@ -154,6 +154,12 @@ def test_gevp_constraint_spectrum_literal_prefix():
     assert np.allclose(np.sort(w10), np.sort(1.1 ** e10))
 
 
+@pytest.mark.parametrize("d", [0, -2])
+def test_gevp_constraint_rejects_nonpositive_size(d):
+    with pytest.raises(InvalidInputError, match=f"need d >= 1, got d={d}"):
+        gevp_constraint(d, np.random.default_rng(0))
+
+
 def test_gen_gevp_matches_dense_generalized_eig_oracle():
     problem, truth = gen_gevp_data(8, 1000, 10, 5, 0.8, seed=7)
     s = sum(a.T @ a for a in problem.agents)
