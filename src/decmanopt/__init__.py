@@ -29,7 +29,6 @@ from .metrics import (
     TraceRecord,
     consensus_error,
     induced_mean,
-    quadratic_upper_bound_probe,
     stationarity,
     subspace_distance,
     write_trace,

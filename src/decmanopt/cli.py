@@ -60,12 +60,12 @@ def _build_parser():
     runp.set_defaults(handler=_cmd_run)
     sweepp = sub.add_parser("sweep", help="grid-search the step-size coefficient")
     sweepp.set_defaults(handler=_cmd_sweep)
-    for p in (runp, sweepp):
+    for p, workers in ((runp, "accepted and ignored: a run is serial"),
+                       (sweepp, "worker threads for sweep candidates (results do not depend on it)")):
         p.add_argument("--config", help="config file of flat dotted keys")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override any config key (repeatable)")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="worker threads for sweep candidates (results do not depend on it)")
+        p.add_argument("--workers", type=int, default=os.cpu_count() or 1, help=workers)
     sweepp.add_argument("--betas", required=True, help="comma-separated candidate list")
     sweepp.add_argument("--metric", default="grad_norm_sq", choices=["grad_norm_sq"])
     parser.commands = sub.choices

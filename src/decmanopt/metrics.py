@@ -89,46 +89,6 @@ def subspace_distance(x, x_star):
     return float(np.linalg.norm(x @ q - x_star))
 
 
-@dataclass
-class CurvatureProbeReport:
-    """Empirical smoothness constants from random manifold pairs.
-
-    ``quad_bound`` is the smallest constant making the Riemannian quadratic
-    upper bound hold across the samples; ``grad_lip`` the largest observed
-    ratio ||grad f_i(x) - grad f_i(y)|| / ||x - y||.  Norms and inner
-    products are the manifold's.
-    """
-
-    quad_bound: float
-    grad_lip: float
-    trials: int
-
-
-def quadratic_upper_bound_probe(problem, trials, seed=0):
-    """Estimate the Riemannian quadratic upper-bound and gradient-Lipschitz
-    constants of the local objectives over random feasible pairs."""
-    if trials < 1:
-        raise InvalidInputError("trials must be at least 1")
-    spec = problem.spec
-    rng = np.random.default_rng(seed)
-    quad = 0.0
-    lip = 0.0
-    for _ in range(trials):
-        i = int(rng.integers(problem.n_agents))
-        x = spec.random_point(rng)
-        y = spec.random_point(rng)
-        diff = y - x
-        nd2 = spec.inner(diff, diff)
-        if nd2 < 1e-24:
-            continue
-        gx = spec.riemannian_gradient(x, problem.local_grad(i, x))
-        gy = spec.riemannian_gradient(y, problem.local_grad(i, y))
-        gap = problem.local_value(i, y) - problem.local_value(i, x) - spec.inner(gx, diff)
-        quad = max(quad, 2.0 * gap / nd2)
-        lip = max(lip, float(spec.norm(gy - gx)) / np.sqrt(nd2))
-    return CurvatureProbeReport(quad, lip, trials)
-
-
 # ---------------------------------------------------------------------------
 # trace persistence
 

@@ -18,18 +18,19 @@ COMPLETE = "complete"
 ERDOS_RENYI = "er"
 
 
-def _connected(adj):
-    nbrs = [[] for _ in adj]
-    for i, j in zip(*(a.tolist() for a in np.nonzero(adj))):
-        nbrs[i].append(j)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for k in nbrs[stack.pop()]:
-            if k not in seen:
-                seen.add(k)
-                stack.append(k)
-    return len(seen) == len(adj)
+def _components(adj):
+    """Each vertex's connected component, labelled by its smallest vertex."""
+    rows, cols = np.nonzero(adj)  # row-major: v's neighbours are cols[at[v]:at[v + 1]]
+    at, cols = np.searchsorted(rows, np.arange(len(adj) + 1)).tolist(), cols.tolist()
+    label = [-1] * len(adj)
+    for root in range(len(adj)):
+        stack = [root] if label[root] < 0 else []
+        while stack:
+            v = stack.pop()
+            if label[v] < 0:
+                label[v] = root
+                stack.extend(cols[at[v]:at[v + 1]])
+    return label
 
 
 def build_graph(topology, n, seed=0, p=None):
@@ -56,10 +57,9 @@ def build_graph(topology, n, seed=0, p=None):
         rows, cols = np.triu_indices(n, 1)  # pairs (i, j), i < j, row by row
         keep = np.random.default_rng(seed).uniform(size=rows.size) < p
         adj[rows[keep], cols[keep]] = adj[cols[keep], rows[keep]] = True
-        for i, j in enumerate(nxt.tolist()):
-            if _connected(adj):
-                break
-            adj[i, j] = adj[j, i] = True
+        # Ring edges (i, i+1), i < k, join every component labelled k or less.
+        k = np.arange(max(_components(adj)))
+        adj[k, k + 1] = adj[k + 1, k] = True
         return adj
     raise InvalidInputError(f"unknown topology {topology!r}")
 
@@ -112,7 +112,7 @@ def metropolis_weights(adj):
         raise InvalidInputError(f"adjacency must be square with n >= 2, got shape {adj.shape}")
     if np.any(adj != adj.T) or np.any(adj.diagonal()):
         raise InvalidInputError("adjacency must be symmetric, without self loops")
-    if not _connected(adj):
+    if max(_components(adj)) > 0:
         raise InvalidInputError("graph is not connected")
     deg = adj.sum(axis=1)
     w = np.where(adj, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)

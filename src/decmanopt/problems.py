@@ -7,6 +7,8 @@ Euclidean gradients with agent i evaluated at its own block xs[i], and
 f_i(x) and its Euclidean gradient at a common point.  ``local_value(i, x)``
 and ``local_grad(i, x)`` give one agent's terms for the oracle checks.
 Riemannian gradients are obtained through the problem's manifold spec.
+PCA and GEVP also give ``lipschitz()``, the exact per-agent constants of
+the Riemannian quadratic upper bound.
 
 * PCA:   f_i(x) = -1/2 tr(x' A_i'A_i x)      on St(d, r)
 * GEVP:  f_i(x) = +1/2 tr(x' A_i'A_i x)      on St_B(d, r)
@@ -67,6 +69,22 @@ class _QuadraticTraceProblem:
 
     def local_grads(self, xs):
         return self._sign * (self._grams @ xs)
+
+    def lipschitz(self):
+        """Per-agent constants L_i = lambda_max(C^-T G_i C^-1) of the bound
+        f_i(y) <= f_i(x) + <grad f_i(x), D> + L_i/2 ||D||^2, D = y - x, for
+        feasible x, y in the manifold's metric; G_i = A_i'A_i, B = C'C with
+        C = spec.chol, and C = I on Stiefel, where L_i = ||G_i||_2.
+
+        With S = x'G_i x, feasibility gives sym(x'BD) = -1/2 D'BD, so the gap
+        f_i(y) - f_i(x) - <grad f_i(x), D> is 1/2 (tr(S D'D) - tr(D'G_i D))
+        (PCA) or 1/2 (tr(D'G_i D) - tr(S D'BD)) (GEVP).  The second terms are
+        nonpositive; lambda_max(S) <= ||G_i||_2 and tr(D'G_i D) <= L_i ||CD||^2
+        bound the first.  For x an extreme eigenframe and y = x with one column
+        tilted toward the opposite eigenvector, 2 gap/||D||^2 -> L_i - lambda_min.
+        """
+        ct = (np.eye(self.spec.d) if self.spec.chol is None else self.spec.chol).T
+        return np.linalg.eigvalsh(np.linalg.solve(ct, np.linalg.solve(ct, self._grams).mT))[:, -1]
 
     def mean_value_and_gradient(self, x):
         sx = self._total_gram @ x
@@ -134,7 +152,9 @@ class LrmcProblem:
     so every call makes one batched inner solve per width.  Each block is
     stored column-major whatever layout it arrives in, so results depend on
     the blocks' values only, not on the caller's memory layout.  ``data``
-    lists each agent's (block, mask) as views into those stacks.
+    lists each agent's (block, mask) as views into those stacks.  There is
+    no ``lipschitz()``: the inner solve makes f_i non-quadratic, so its
+    quadratic upper-bound constant has no closed form.
     """
 
     def __init__(self, agents, spec):

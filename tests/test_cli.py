@@ -54,6 +54,14 @@ def test_help_exits_zero():
         assert info.value.code == 0
 
 
+def test_run_help_says_workers_is_ignored(capsys):
+    # `run` accepts --workers, as `sweep` does, but a run is serial.
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    assert "--workers WORKERS accepted and ignored: a run is serial" in " ".join(
+        capsys.readouterr().out.split())
+
+
 def test_run_success(tmp_path):
     cfg = write_cfg(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 0

@@ -5,7 +5,6 @@ from decmanopt.metrics import (
     TraceRecord,
     consensus_error,
     induced_mean,
-    quadratic_upper_bound_probe,
     stationarity,
     subspace_distance,
     write_trace,
@@ -110,46 +109,6 @@ def test_subspace_distance_against_sampling_polish_oracle():
     polished = np.linalg.norm(x @ q - y)
     assert d <= polished + 1e-12
     assert abs(d - polished) <= 1e-6
-
-
-class _LinearProblem:
-    """f_i(x) = <c, x>: zero curvature, so both probe constants vanish at c=0."""
-
-    def __init__(self, spec, c):
-        self.spec = spec
-        self.c = c
-        self.n_agents = 1
-
-    def local_value(self, i, x):
-        return float(np.sum(self.c * x))
-
-    def local_grad(self, i, x):
-        return self.c
-
-
-def test_quadratic_probe_zero_for_constant_objective():
-    spec = manifolds.stiefel(6, 2)
-    report = quadratic_upper_bound_probe(_LinearProblem(spec, np.zeros((6, 2))), trials=50)
-    assert report.quad_bound == 0.0
-    assert report.grad_lip == 0.0
-
-
-def test_quadratic_probe_trivial_same_point():
-    rng = np.random.default_rng(11)
-    problem, _ = gen_pca_data(2, 30, 6, 2, 0.8, seed=12)
-    x = problem.spec.random_point(rng)
-    g = problem.spec.tangent_project(x, problem.local_grad(0, x))
-    gap = problem.local_value(0, x) - problem.local_value(0, x) - np.sum(g * (x - x))
-    assert gap == 0.0
-
-
-def test_quadratic_probe_stable_under_resampling():
-    problem, _ = gen_pca_data(4, 200, 8, 3, 0.8, seed=13)
-    r1 = quadratic_upper_bound_probe(problem, trials=400, seed=1)
-    r2 = quadratic_upper_bound_probe(problem, trials=800, seed=2)
-    assert np.isfinite(r1.quad_bound) and r1.quad_bound > 0
-    assert abs(r1.quad_bound - r2.quad_bound) <= 0.2 * max(r1.quad_bound, r2.quad_bound)
-    assert np.isfinite(r1.grad_lip)
 
 
 def test_trace_round_trip(tmp_path):

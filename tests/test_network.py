@@ -56,13 +56,14 @@ def test_erdos_renyi_connected_and_reproducible():
     assert not np.array_equal(build_graph("er", 8, seed=8, p=0.6), g1)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
-@pytest.mark.parametrize("p", [0.05, 0.3, 0.6, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32, 33])
+@pytest.mark.parametrize("p", [0.01, 0.05, 0.1, 0.3, 0.6, 1.0])
 def test_erdos_renyi_draws_one_uniform_per_pair_in_row_order(n, p):
     # Reference: one scalar draw per pair (i, j), i < j, in a double loop,
-    # then the ring repair: the fewest ring edges, in order, that connect it.
+    # then the ring repair edge by edge: a connectivity check before each
+    # ring edge (i, i+1 mod n), in order, and the edge added if it fails.
     ring = [(0, 1)] if n == 2 else [tuple(sorted((k, (k + 1) % n))) for k in range(n)]
-    for seed in range(20):
+    for seed in range(40):
         rng = np.random.default_rng(seed)
         sample = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < p}
         for k in range(len(ring) + 1):

@@ -170,6 +170,50 @@ def test_gen_gevp_matches_dense_generalized_eig_oracle():
     assert problem.spec.feasibility_residual(truth.x_star) <= 1e-8
 
 
+# -- quadratic upper bound ----------------------------------------------------
+
+
+def _bound_ratio(problem, i, x, y):
+    """2 (f_i(y) - f_i(x) - <grad f_i(x), y - x>) / (L_i ||y - x||^2)."""
+    spec = problem.spec
+    diff = y - x
+    g = spec.riemannian_gradient(x, problem.local_grad(i, x))
+    gap = problem.local_value(i, y) - problem.local_value(i, x) - spec.inner(g, diff)
+    return 2.0 * gap / (problem.lipschitz()[i] * spec.inner(diff, diff))
+
+
+@pytest.mark.parametrize("gen", [gen_pca_data, gen_gevp_data], ids=["pca", "gevp"])
+def test_lipschitz_is_the_exact_quadratic_bound_constant(gen):
+    problem, _ = gen(8, 1000, 10, 5, 0.8, seed=7)
+    spec = problem.spec
+    lip = problem.lipschitz()
+    # Oracle: eigenpairs of G_i (PCA) or of the pencil (G_i, B) (GEVP),
+    # ascending, the latter B-orthonormal.
+    eigs = [scipy.linalg.eigh(a.T @ a, spec.b) for a in problem.agents]
+    assert lip.shape == (8,)
+    assert np.allclose(lip, [w[-1] for w, _ in eigs], rtol=1e-12, atol=0)
+
+    # The bound holds for feasible pairs from 1e-4 to about 2 apart.
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        i = int(rng.integers(8))
+        x = spec.random_point(rng)
+        y = spec.project(x + spec.random_tangent(x, rng, 10 ** rng.uniform(-4, 0.3)))
+        assert _bound_ratio(problem, i, x, y) <= 1.0 + 1e-6
+
+    # It is tight: an extreme eigenframe with its first column tilted toward
+    # the opposite eigenvector reaches 1 - lambda_min / L_i > 0.95 of it.
+    for i, (_, v) in enumerate(eigs):
+        if gen is gen_pca_data:
+            v = v[:, ::-1]  # the PCA minimizer is the top eigenframe
+        for eps in (1e-2, 1e-3, 1e-4):
+            x = v[:, :5]
+            y = x.copy()
+            y[:, 0] = np.cos(eps) * v[:, 0] + np.sin(eps) * v[:, -1]
+            assert spec.feasibility_residual(y) <= 1e-12
+            assert 0.95 <= _bound_ratio(problem, i, x, y) <= 1.0 + 1e-6
+
+
 # -- LRMC --------------------------------------------------------------------
 
 
