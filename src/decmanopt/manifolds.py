@@ -122,18 +122,16 @@ class ManifoldSpec:
             reject_blocks(SingularityError, s[..., -1] <= RANK_RTOL * s[..., 0],
                           "projection target is rank deficient")
             return u @ v.mT
-        # No symmetry check: G_ij and G_ji are the same dot product of two
-        # columns of Cy, summed in possibly different orders, so
-        # ||G - G'||_F <= 2 gamma_d tr G <= 2 gamma_d sqrt(r) ||G||_F, with
-        # gamma_d = d eps/2 / (1 - d eps/2).  That stays below SYM_RTOL
-        # ||G||_F, the asymmetry sym_eig tolerates, while d sqrt(r) < about
-        # 4.5e7.
-        return y @ inverse_sqrt(sym(self.gram(y)))
+        # No sym and no symmetry check: numpy forms (Cy)'(Cy) as a symmetric
+        # rank-k update and mirrors its triangle (without BLAS, G_ij and G_ji
+        # add the same products in the same order), so the gram is exactly
+        # symmetric, as inverse_sqrt requires.
+        return y @ inverse_sqrt(self.gram(y))
 
     def tangent_project(self, x, u):
         """Metric-orthogonal projection of u onto the tangent space at x, or
         blockwise for stacks x and u."""
-        return u - x @ sym(x.mT @ self._metric(u))
+        return u - x @ sym(x.mT @ (u if self.b is None else self.b @ u))
 
     # The iteration loop calls the maps on agent stacks by these names, which
     # keeps their time apart from the single-matrix calls in per-layer traces.

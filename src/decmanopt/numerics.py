@@ -14,13 +14,16 @@ first failing block in its message and in its ``block`` attribute.
 :func:`thin_svd` and :func:`sym_eig` reject NaN or Inf anywhere in their
 input, and :func:`sym_eig`, which checks external matrices such as a
 B-Stiefel ``b``, rejects asymmetry beyond ``SYM_RTOL`` in any block.
-:func:`inverse_sqrt` takes a gram that its caller made exactly symmetric
-(``sym``).  A block s with ||s - I||_F <= ``NEAR_IDENTITY`` gets at most
-three Newton–Schulz steps (batched matmuls, quadratically convergent from
-I); its eigenvalues lie within ``NEAR_IDENTITY`` of 1, so it is positive
-definite, and a non-finite block is never near.  Every other block goes
-through ``eigh`` and must be finite and positive definite (``RANK_RTOL``).
+:func:`inverse_sqrt` takes an exactly symmetric matrix, such as a gram
+a'a, whose one triangle numpy mirrors into the other.  A block s with
+||s - I||_F <= ``NEAR_IDENTITY`` gets at most three Newton–Schulz steps
+(batched matmuls, quadratically convergent from I); its eigenvalues lie
+within ``NEAR_IDENTITY`` of 1, so it is positive definite, and a
+non-finite block is never near.  Every other block goes through ``eigh``
+and must be finite and positive definite (``RANK_RTOL``).
 """
+
+import functools
 
 import numpy as np
 
@@ -70,7 +73,7 @@ def require_finite(m):
     """``m`` as a float array; rejects NaN or Inf, naming the first bad
     block of a stack."""
     m = np.asarray(m, dtype=float)
-    if not np.isfinite(m).all():
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):
         bad = ~np.isfinite(m).all(axis=(-2, -1)) if m.ndim == 3 else True
         reject_blocks(NonFiniteError, bad, "matrix contains NaN or Inf")
     return m
@@ -110,17 +113,29 @@ def sym_eig(m):
     return np.linalg.eigh(sym(m))
 
 
+@functools.lru_cache(maxsize=16)
+def _identity(shape):
+    """The identity in every block of an array of this shape, read-only; a
+    full stack, as subtracting equal shapes takes half the broadcast time."""
+    eye = np.broadcast_to(np.eye(shape[-1]), shape).copy()
+    eye.flags.writeable = False
+    return eye
+
+
 def inverse_sqrt(s):
-    """Inverse square root R of an SPD matrix s that ``sym`` made exactly
-    symmetric, satisfying R @ s @ R = I, or of each block of a stack.  The
-    symmetry is not checked."""
-    eye = np.eye(s.shape[-1])
+    """Inverse square root R of an exactly symmetric SPD matrix s, such as
+    a gram ``a.mT @ a``, satisfying R @ s @ R = I, or of each block of a
+    stack.  The symmetry is not checked."""
+    eye = _identity(s.shape)
     e = s - eye
     flat = e.reshape(*e.shape[:-2], -1)
     q = np.vecdot(flat, flat)  # ||s - I||_F^2 per block
     z = eye - 0.5 * e  # the first Newton–Schulz step, (3I - s)/2
-    # NaN fails the comparison, so a non-finite block is never near.
-    if q.max() <= NEAR_IDENTITY**2:
+    # NaN fails the comparisons, so a non-finite block is never near.
+    q_max = np.maximum.reduce(q, axis=None)
+    if q_max <= _EPS:  # no further step, as for a gram inside the tube
+        return z
+    if q_max <= NEAR_IDENTITY**2:
         return _newton_schulz(s, z, q)
     # For a single matrix the masks are 0-d, and s[mask] is a stack of one.
     near = q <= NEAR_IDENTITY**2
@@ -149,9 +164,7 @@ def _newton_schulz(s, z, q):
     that bound; a block steps while its own bound exceeds machine epsilon,
     at most twice.
     """
-    if q.max() <= _EPS:  # no further step, as for a gram inside the tube
-        return z
-    three = 3.0 * np.eye(s.shape[-1])
+    three = 3.0 * _identity(s.shape)
     steps = (q > _EPS).astype(np.intp) + (q > _EPS**0.5)
     every = int(steps.min())
     for k in range(int(steps.max())):

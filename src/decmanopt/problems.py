@@ -42,7 +42,8 @@ def _check_agent(problem, i):
 
 
 class _QuadraticTraceProblem:
-    """Common core of PCA and GEVP: f_i(x) = sign/2 tr(x' A_i'A_i x)."""
+    """Common core of PCA and GEVP: f_i(x) = sign/2 tr(x' A_i'A_i x).  The
+    grams are stored times the sign (exactly), so a gradient is one product."""
 
     _sign = 1.0
 
@@ -52,7 +53,7 @@ class _QuadraticTraceProblem:
             raise InvalidInputError(f"all agent matrices must have {spec.d} columns")
         self.agents = [np.asarray(a, dtype=float) for a in agents]
         self.spec = spec
-        self._grams = np.stack([a.T @ a for a in self.agents])
+        self._grams = self._sign * np.stack([a.T @ a for a in self.agents])
         self._total_gram = self._grams.sum(axis=0)
 
     @property
@@ -61,14 +62,14 @@ class _QuadraticTraceProblem:
 
     def local_value(self, i, x):
         _check_agent(self, i)
-        return 0.5 * self._sign * float(np.sum(x * (self._grams[i] @ x)))
+        return 0.5 * float(np.sum(x * (self._grams[i] @ x)))
 
     def local_grad(self, i, x):
         _check_agent(self, i)
-        return self._sign * (self._grams[i] @ x)
+        return self._grams[i] @ x
 
     def local_grads(self, xs):
-        return self._sign * (self._grams @ xs)
+        return self._grams @ xs
 
     def lipschitz(self):
         """Per-agent constants L_i = lambda_max(C^-T G_i C^-1) of the bound
@@ -84,12 +85,13 @@ class _QuadraticTraceProblem:
         tilted toward the opposite eigenvector, 2 gap/||D||^2 -> L_i - lambda_min.
         """
         ct = (np.eye(self.spec.d) if self.spec.chol is None else self.spec.chol).T
-        return np.linalg.eigvalsh(np.linalg.solve(ct, np.linalg.solve(ct, self._grams).mT))[:, -1]
+        grams = self._sign * self._grams
+        return np.linalg.eigvalsh(np.linalg.solve(ct, np.linalg.solve(ct, grams).mT))[:, -1]
 
     def mean_value_and_gradient(self, x):
         sx = self._total_gram @ x
-        value = 0.5 * self._sign * float(np.sum(x * sx)) / self.n_agents
-        return value, self._sign * sx / self.n_agents
+        value = 0.5 * float(np.sum(x * sx)) / self.n_agents
+        return value, sx / self.n_agents
 
 
 class PcaProblem(_QuadraticTraceProblem):

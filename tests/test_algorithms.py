@@ -1,3 +1,6 @@
+import cProfile
+import pstats
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +10,15 @@ from decmanopt import manifolds
 from decmanopt.algorithms import RunConfig, StepSchedule, init_system, run
 from decmanopt.errors import InvalidInputError, TubeViolationError
 from decmanopt.manifolds import FEAS_TOL
-from decmanopt.metrics import induced_mean, write_trace
-from decmanopt.network import MixingMatrix, build_graph, metropolis_weights
-from decmanopt.problems import GevpProblem, PcaProblem, gen_gevp_data, gen_pca_data
+from decmanopt.metrics import TRACE_COLUMNS, induced_mean, write_trace
+from decmanopt.network import MixingMatrix, build_graph, metropolis_weights, mix
+from decmanopt.problems import (
+    GevpProblem,
+    PcaProblem,
+    gen_gevp_data,
+    gen_lrmc_data,
+    gen_pca_data,
+)
 
 
 def single_agent_mixing():
@@ -345,3 +354,115 @@ def test_dprgt_tuned_step_recovers_optimum():
                     max_iters=2000, trace_every=100)
     trace = run(cfg, problem, m, points, truth)
     assert trace.records[-1].dist_to_truth < 1e-4
+
+
+# Small instances of the three problems with their step sizes; the LRMC one
+# has the golden lrmc_uneven sizes, so two block widths (14 and 13).
+SMALL = {
+    "pca": (lambda: gen_pca_data(4, 50, 8, 3, 0.8, seed=42), 0.1),
+    "gevp": (lambda: gen_gevp_data(4, 50, 8, 3, 0.8, seed=42), 0.1),
+    "lrmc": (lambda: gen_lrmc_data(6, 30, 80, 3, seed=42), 2e-3),
+}
+
+
+def record_bytes(trace):
+    """The recorded values, without the wall clock, as bytes."""
+    cols = [c for c in TRACE_COLUMNS if c != "wall_ns"]
+    return np.array([[getattr(rec, c) for c in cols] for rec in trace.records]).tobytes()
+
+
+def small_run(kind, algorithm, max_iters, trace_every=1):
+    gen, beta = SMALL[kind]
+    problem, truth = gen()
+    m = metropolis_weights(build_graph("ring", problem.n_agents))
+    points = init_system(problem, "perturbed", seed=43, delta=0.1)
+    cfg = RunConfig(algorithm=algorithm, schedule=StepSchedule("constant", beta),
+                    max_iters=max_iters, trace_every=trace_every)
+    return cfg, problem, m, points, truth
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL))
+@pytest.mark.parametrize("algorithm", ["consensus", "dprgd", "dprgt"])
+def test_run_writes_none_of_its_inputs(kind, algorithm):
+    # A sweep shares the problem, the mixing matrix and the initial stack
+    # across threads, so run must read them only: made read-only, they give
+    # the same run, byte for byte.
+    cfg, problem, m, points, truth = small_run(kind, algorithm, 5)
+    expected = run(cfg, problem, m, points, truth)
+    cfg, problem, m, points, truth = small_run(kind, algorithm, 5)
+    spec = problem.spec
+    stacks = [st for _, a, mask in getattr(problem, "_groups", ()) for st in (a, mask)]
+    if kind != "lrmc":
+        stacks += [problem._grams, problem._total_gram]
+    if spec.b is not None:
+        stacks += [spec.b, spec.b_inv, spec.chol]
+    for a in [points, m.w, *stacks]:
+        a.flags.writeable = False
+    trace = run(cfg, problem, m, points, truth)
+    assert record_bytes(trace) == record_bytes(expected)
+    assert trace.points.tobytes() == expected.points.tobytes()
+
+
+def reference_diagnostics(problem, m, t, iterates):
+    """s_hat_norm_sq and tracking_gap recomputed one iteration at a time,
+    from the iterates at which the run evaluated its gradients."""
+    spec, n = problem.spec, problem.n_agents
+    s_hat_sq, gaps = [], []
+    tracker = grads = None
+    for xs in iterates:
+        new_grads = spec.riemannian_gradient(xs, problem.local_grads(xs))
+        tracker = new_grads if tracker is None else mix(m, tracker, t) + new_grads - grads
+        grads = new_grads
+        s_hat = np.add.reduce(tracker, axis=0) / n
+        gaps.append(float(np.linalg.norm(s_hat - np.add.reduce(grads, axis=0) / n)))
+        s_hat_sq.append(float(np.sum(s_hat * s_hat)))
+    return np.array(s_hat_sq), np.array(gaps)
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL))
+@pytest.mark.parametrize("trace_every", [1, 7])
+def test_block_diagnostics_equal_the_per_iteration_formula_bitwise(kind, trace_every):
+    # run sums the tracker and the gradients into a 64 KiB block, one row of
+    # 2 d r floats per iteration, and forms the diagnostics a block at a
+    # time; cover a run inside one block and runs that end on either side
+    # of a block's edge.
+    _, problem, *_ = small_run(kind, "dprgt", 0)
+    rows = 4096 // (problem.spec.d * problem.spec.r)
+    for max_iters in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 3):
+        cfg, problem, m, points, truth = small_run(kind, "dprgt", max_iters, trace_every)
+        iterates = []
+        local_grads = problem.local_grads
+        problem.local_grads = lambda xs: iterates.append(xs.copy()) or local_grads(xs)
+        trace = run(cfg, problem, m, points, truth)
+        problem.local_grads = local_grads
+        assert len(trace.tracking_gap) == len(trace.s_hat_norm_sq) == max_iters + 1
+        s_hat_sq, gaps = reference_diagnostics(problem, m, cfg.t, iterates)
+        assert trace.s_hat_norm_sq.tobytes() == s_hat_sq.tobytes()
+        assert trace.tracking_gap.tobytes() == gaps.tobytes()
+
+
+def calls_per_dprgt_iteration(problem, m, points, beta):
+    """Python-level calls per DPRGT iteration, as cProfile counts them: the
+    difference between runs of 400 and 200 iterations, recorded at the ends
+    only, over 200."""
+    totals = []
+    for max_iters in (200, 400):
+        cfg = RunConfig(algorithm="dprgt", schedule=StepSchedule("constant", beta),
+                        max_iters=max_iters, trace_every=max_iters + 1)
+        prof = cProfile.Profile()
+        prof.runcall(run, cfg, problem, m, points)
+        totals.append(pstats.Stats(prof).total_calls)
+    return (totals[1] - totals[0]) / 200
+
+
+@pytest.mark.parametrize("gen, beta, budget", [(gen_gevp_data, 2.0, 40), (gen_pca_data, 1.0, 64)])
+def test_dprgt_iteration_dispatch_budget(gen, beta, budget):
+    # On (8, 10, 5) stacks an iteration costs numpy dispatch, not arithmetic,
+    # so its call count is its cost: GEVP made 61.7 calls and PCA 80.0
+    # before the tracking diagnostics went a block at a time.  The counts
+    # follow the run's bits only (the Newton–Schulz steps each projection
+    # takes), not the machine's speed.
+    problem, _ = gen(8, 1000, 10, 5, 0.8, seed=7)
+    m = metropolis_weights(build_graph("er", 8, seed=3, p=0.6))
+    points = init_system(problem, "identical", seed=11)
+    assert calls_per_dprgt_iteration(problem, m, points, beta) <= budget

@@ -328,8 +328,9 @@ def test_random_point_feasible_and_seeded():
 @given(st.integers(1, 60).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))),
        st.floats(0.0, 10.0), st.integers(0, 2**32 - 1))
 def test_b_stiefel_gram_asymmetry_within_rounding_bound(shape, log_kappa, seed):
-    # The bound that lets project skip the symmetry check:
-    # ||G - G'||_F <= 2 gamma_d sqrt(r) ||G||_F, with B up to kappa = 1e10.
+    # ||G - G'||_F <= 2 gamma_d sqrt(r) ||G||_F, with B up to kappa = 1e10:
+    # the bound a gram summed in different orders for G_ij and G_ji would
+    # meet.  numpy's grams are exactly symmetric (the next test).
     d, r = shape
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -340,6 +341,20 @@ def test_b_stiefel_gram_asymmetry_within_rounding_bound(shape, log_kappa, seed):
     gamma_d = d * u / (1 - d * u)
     asym = np.linalg.norm(g - g.mT, axis=(-2, -1))
     assert np.all(asym <= 2 * gamma_d * np.sqrt(r) * np.linalg.norm(g, axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("b", [None, "spd"])
+@pytest.mark.parametrize("blocks", [None, 1, 3, 8])
+def test_gram_is_exactly_symmetric(b, blocks):
+    # project hands the gram to inverse_sqrt without sym: numpy forms
+    # (Cy)'(Cy) as a symmetric rank-k update and mirrors its triangle, so
+    # sym would return it bit for bit.
+    rng = np.random.default_rng(22)
+    spec = stiefel(10, 5) if b is None else generalized_stiefel(10, 5, random_spd(10, rng))
+    ys = rng.standard_normal((10, 5) if blocks is None else (blocks, 10, 5))
+    g = spec.gram(ys)
+    assert np.array_equal(g, g.mT)
+    assert sym(g).tobytes() == g.tobytes()
 
 
 def test_b_stiefel_projection_near_the_manifold_calls_no_eigh(monkeypatch):
