@@ -19,7 +19,6 @@ def study(t, iters=120):
         "problem.kind": "pca", "problem.seed": "7", "graph.topology": "ring",
         "algo.kind": "consensus", "algo.t": str(t), "run.K": str(iters),
         "run.seed": "11", "run.init": "perturbed", "run.delta": "0.1",
-        "out.dir": "unused",  # a required key; the rate study writes nothing
     }))
 
 

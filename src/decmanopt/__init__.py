@@ -29,7 +29,6 @@ from .metrics import (
     TraceRecord,
     consensus_error,
     induced_mean,
-    stationarity,
     subspace_distance,
     write_trace,
 )

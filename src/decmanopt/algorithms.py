@@ -4,7 +4,8 @@ Riemannian gradient descent (DPRGD), and its gradient-tracking variant
 
 The three share one loop, in :func:`run`.  One iteration is: mix the
 stacked states with t gossip rounds, take the local (tracked) Riemannian
-gradient step, and project every block back onto the manifold.  DPRGT
+gradient step, and project every block back onto the manifold.  At each
+record point the loop appends :func:`decmanopt.metrics.trace_record`.  DPRGT
 additionally maintains per-agent tracker states whose network average
 telescopes to the average of the current local Riemannian gradients,
 which is what buys exact convergence with a constant step size.
@@ -20,12 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, NonFiniteError, SingularityError, TubeViolationError
-from .metrics import (
-    TraceRecord,
-    induced_mean,
-    stationarity,
-    subspace_distance,
-)
+from .metrics import induced_mean, trace_record
 from .network import mix
 
 CONSENSUS = "consensus"
@@ -131,20 +127,6 @@ class Trace:
     tracking_gap: np.ndarray | None = None
 
 
-def _measure(k, alpha, points, problem, truth, t_start):
-    st = stationarity(problem, points)
-    dist = None if truth is None else subspace_distance(st.x_bar, truth.x_star)
-    return TraceRecord(
-        iter=k,
-        step_size=alpha,
-        consensus_error=st.consensus_error,
-        objective_at_mean=st.objective_at_mean,
-        grad_norm_sq=st.grad_norm_sq,
-        dist_to_truth=dist,
-        wall_ns=time.monotonic_ns() - t_start,
-    )
-
-
 @np.errstate(all="ignore")
 def run(cfg, problem, mixing, points, truth=None):
     """Execute ``cfg.max_iters`` iterations from the (n, d, r) stack
@@ -209,7 +191,7 @@ def run(cfg, problem, mixing, points, truth=None):
                     s_hat_sq[k - j:k + 1] = np.add.reduce(s_hat * s_hat, axis=1)
                     gaps[k - j:k + 1] = np.sqrt(np.vecdot(dev, dev))
             if k % cfg.trace_every == 0 or k == cfg.max_iters:
-                records.append(_measure(k, alpha, points, problem, truth, t_start))
+                records.append(trace_record(problem, points, truth, k, alpha, t_start))
     except (SingularityError, NonFiniteError) as exc:
         err = TubeViolationError(k, getattr(exc, "block", None), str(exc))
         err.records = records

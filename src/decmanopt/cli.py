@@ -39,13 +39,14 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     cfg = harness.load_config(args.config, args.set)
+    summary_dir = harness.require_out_dir(cfg)
     try:
         betas = [float(tok) for tok in args.betas.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"cannot parse --betas {args.betas!r}") from exc
     result = harness.sweep(cfg, betas, workers=args.workers)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    summary_path = os.path.join(cfg.out_dir, "sweep.csv")
+    os.makedirs(summary_dir, exist_ok=True)
+    summary_path = os.path.join(summary_dir, "sweep.csv")
     harness.write_sweep_summary(summary_path, result)
     print(f"best beta {result.best_beta!r} by grad_norm_sq; summary in {summary_path}",
           file=sys.stderr)

@@ -83,7 +83,7 @@ CONFIG_KEYS = (
     ConfigKey("run.trace_every", "trace_every", int, 1),
     ConfigKey("run.init", "init_mode", str, "identical", ("identical", "perturbed")),
     ConfigKey("run.delta", "delta", float, 0.1),
-    ConfigKey("out.dir", "out_dir", str),
+    ConfigKey("out.dir", "out_dir", str, None),  # required by what writes files
 )
 _KNOWN_KEYS = frozenset(row.key for row in CONFIG_KEYS)
 
@@ -92,7 +92,7 @@ ExperimentConfig = make_dataclass(
     [(row.attr, row.cast) for row in CONFIG_KEYS] + [("echo", tuple)],
     frozen=True,
     namespace={
-        "__doc__": "Fully resolved experiment; ``echo`` maps every key to its final value.",
+        "__doc__": "Fully resolved experiment; ``echo`` maps every key with a value to it.",
         "__module__": __name__,
     },
 )
@@ -165,7 +165,7 @@ def resolve_config(raw):
     for row in CONFIG_KEYS:
         default = row.default(done) if callable(row.default) else row.default
         done[row.attr] = _resolve(raw, row, default)
-    echo = tuple((row.key, done[row.attr]) for row in CONFIG_KEYS)
+    echo = tuple((row.key, done[row.attr]) for row in CONFIG_KEYS if done[row.attr] is not None)
     return ExperimentConfig(**done, echo=echo)
 
 
@@ -173,6 +173,13 @@ def load_config(path=None, overrides=()):
     """Resolve a config file (none: only the overrides) with overrides applied."""
     raw = parse_config_file(path) if path else {}
     return resolve_config(apply_overrides(raw, overrides))
+
+
+def require_out_dir(cfg):
+    """``out.dir``, which is required wherever files are written."""
+    if cfg.out_dir is None:
+        raise ConfigError("missing required config key out.dir")
+    return cfg.out_dir
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +224,7 @@ def run_experiment(cfg):
     gives ``final.agent_dist_mean``, the agents' mean subspace distance to
     the generated truth x*.  An aborted run then re-raises.
     """
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    os.makedirs(require_out_dir(cfg), exist_ok=True)
     trace_path = os.path.join(cfg.out_dir, "trace.csv")
     manifest_path = os.path.join(cfg.out_dir, "manifest.txt")
     problem, truth, mixing, system, run_cfg = build_run(cfg)

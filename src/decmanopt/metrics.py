@@ -1,4 +1,4 @@
-"""Reported quantities: induced mean, stationarity pair, subspace distance.
+"""Reported quantities and the trace record that carries them.
 
 The induced mean of agents x_1..x_n is the projection of their Euclidean
 average onto the manifold; the stationarity pair is the consensus error
@@ -7,12 +7,11 @@ manifold's metric (the B-norm on generalized Stiefel).  The
 subspace distance d_s is the orthogonal-Procrustes-aligned Frobenius
 distance (alignment over the full orthogonal group, reflections
 included), which is invariant to the right-orthogonal gauge of frame
-optima.
+optima.  :func:`trace_record` takes all of them at one iterate.
 """
 
-import csv
+import time
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,30 +53,6 @@ def consensus_error(points, x_bar, spec=None):
     return sq / points.shape[0]
 
 
-class Stationarity(NamedTuple):
-    """The induced mean xbar and the measurements taken there."""
-
-    x_bar: np.ndarray
-    consensus_error: float
-    objective_at_mean: float
-    grad_norm_sq: float
-
-
-def stationarity(problem, points):
-    """The stationarity pair (consensus error, ||grad f(xbar)||^2) at the
-    induced mean, together with xbar and f(xbar).
-
-    f(xbar) and its Euclidean gradient come from one data sweep; averaging
-    the per-agent Euclidean gradients at xbar and mapping once equals
-    averaging Riemannian gradients at the common point.
-    """
-    spec = problem.spec
-    _, x_bar = induced_mean(spec, points)
-    value, egrad = problem.mean_value_and_gradient(x_bar)
-    g = spec.riemannian_gradient(x_bar, egrad)
-    return Stationarity(x_bar, consensus_error(points, x_bar, spec), value, spec.inner(g, g))
-
-
 def subspace_distance(x, x_star):
     """d_s(x, x*) = min over orthogonal Q of ||x Q - x*||."""
     x = np.asarray(x, dtype=float)
@@ -87,6 +62,31 @@ def subspace_distance(x, x_star):
     u, _, v = thin_svd(x.T @ x_star)
     q = u @ v.T
     return float(np.linalg.norm(x @ q - x_star))
+
+
+def trace_record(problem, points, truth, k, step_size, t_start):
+    """The trace record of iterate k: the stationarity pair (consensus
+    error, ||grad f(xbar)||^2) and f(xbar) at the induced mean xbar, d_s to
+    ``truth.x_star`` (None without a truth), and the wall time since
+    ``t_start`` (a ``time.monotonic_ns`` reading).
+
+    f(xbar) and its Euclidean gradient come from one data sweep; averaging
+    the per-agent Euclidean gradients at xbar and mapping once equals
+    averaging Riemannian gradients at the common point.
+    """
+    spec = problem.spec
+    _, x_bar = induced_mean(spec, points)
+    value, egrad = problem.mean_value_and_gradient(x_bar)
+    g = spec.riemannian_gradient(x_bar, egrad)
+    return TraceRecord(
+        iter=k,
+        step_size=step_size,
+        consensus_error=consensus_error(points, x_bar, spec),
+        objective_at_mean=value,
+        grad_norm_sq=spec.inner(g, g),
+        dist_to_truth=None if truth is None else subspace_distance(x_bar, truth.x_star),
+        wall_ns=time.monotonic_ns() - t_start,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +107,9 @@ def write_trace(path, records):
     seeds must reproduce them byte for byte), which measured wall time would
     break.  Wall time is reported in the run manifest instead.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        floats = TRACE_COLUMNS[1:-1]
+    floats = TRACE_COLUMNS[1:-1]
+    with open(path, "w") as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
         for rec in records:
-            writer.writerow([rec.iter, *(fmt_float(getattr(rec, name)) for name in floats), ""])
+            row = [str(rec.iter), *(fmt_float(getattr(rec, name)) for name in floats), ""]
+            fh.write(",".join(row) + "\n")

@@ -206,6 +206,16 @@ def test_sweep_writes_summary(tmp_path, capsys):
     assert "best beta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--betas", "0.2"]], ids=["run", "sweep"])
+def test_missing_out_dir_is_one_error_line(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path)
+    cfg.write_text("".join(line + "\n" for line in cfg.read_text().splitlines()
+                           if not line.startswith("out.dir")))
+    assert main([*command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: missing required config key out.dir\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
 def test_sweep_metric_objective_is_a_usage_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, **{"run.K": 5})
     with pytest.raises(SystemExit) as info:

@@ -80,7 +80,7 @@ def test_nonfinite_float_value_names_its_key(tmp_path, key, value):
 
 
 _ALWAYS_REQUIRED = ("problem.kind", "problem.seed", "graph.topology", "algo.kind", "run.K",
-                    "run.seed", "out.dir")
+                    "run.seed")
 _VALUES = {
     int: st.integers(-10**9, 10**9).map(str),
     harness.seed: st.integers(0, 10**9).map(str),
@@ -197,12 +197,15 @@ def test_build_run_keeps_the_configured_schedule(tmp_path):
 
 def test_missing_required_key_named():
     base = {"problem.kind": "pca", "problem.seed": "1", "graph.topology": "ring",
-            "algo.kind": "consensus", "run.K": "1", "run.seed": "1", "out.dir": "x"}
-    for key in ("problem.seed", "run.K", "run.seed", "out.dir"):
+            "algo.kind": "consensus", "run.K": "1", "run.seed": "1"}
+    for key in ("problem.seed", "run.K", "run.seed"):
         broken = {k: v for k, v in base.items() if k != key}
         with pytest.raises(ConfigError) as info:
             harness.resolve_config(broken)
         assert key in str(info.value)
+    # out.dir is required only where files are written
+    with pytest.raises(ConfigError, match="^missing required config key out.dir$"):
+        harness.run_experiment(harness.resolve_config(base))
     # an Erdos-Renyi topology additionally requires its seed
     with pytest.raises(ConfigError) as info:
         harness.resolve_config({**base, "graph.topology": "er"})
@@ -448,6 +451,16 @@ def test_rate_study_large_t_tail(tmp_path):
     )
     res = harness.rate_study(cfg)
     assert res.tail_rate <= m.sigma2**t_star * 1.05
+
+
+def test_rate_study_needs_no_out_dir():
+    # The rate study writes nothing, so its config may leave out.dir out.
+    cfg = harness.resolve_config({
+        "problem.kind": "pca", "problem.n": "4", "problem.d": "6", "problem.r": "2",
+        "problem.m_i": "50", "problem.seed": "7", "graph.topology": "complete",
+        "algo.kind": "consensus", "run.K": "10", "run.seed": "11", "run.init": "perturbed"})
+    assert cfg.out_dir is None
+    assert len(harness.rate_study(cfg).errors) == 1
 
 
 def test_rate_study_requires_consensus(tmp_path):

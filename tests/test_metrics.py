@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 
 from decmanopt import manifolds
@@ -5,8 +7,8 @@ from decmanopt.metrics import (
     TraceRecord,
     consensus_error,
     induced_mean,
-    stationarity,
     subspace_distance,
+    trace_record,
     write_trace,
 )
 from decmanopt.problems import gen_pca_data
@@ -50,7 +52,7 @@ def test_induced_mean_quadratic_gap_order():
 def test_stationarity_at_pca_optimum():
     problem, truth = gen_pca_data(4, 200, 8, 3, 0.8, seed=3)
     points = np.tile(truth.x_star, (4, 1, 1))
-    st = stationarity(problem, points)
+    st = trace_record(problem, points, None, 0, 0.0, time.monotonic_ns())
     assert st.consensus_error < 1e-10
     assert st.grad_norm_sq < 1e-10
 
@@ -58,13 +60,15 @@ def test_stationarity_at_pca_optimum():
 def test_stationarity_identical_agents_zero_consensus():
     problem, _ = gen_pca_data(4, 50, 6, 2, 0.8, seed=4)
     x = problem.spec.random_point(np.random.default_rng(5))
-    assert stationarity(problem, np.tile(x, (4, 1, 1))).consensus_error <= 1e-25
+    st = trace_record(problem, np.tile(x, (4, 1, 1)), None, 0, 0.0, time.monotonic_ns())
+    assert st.consensus_error <= 1e-25
 
 
 def test_stationarity_single_agent():
     problem, _ = gen_pca_data(1, 50, 6, 2, 0.8, seed=6)
     x = problem.spec.random_point(np.random.default_rng(7))
-    assert stationarity(problem, x[None]).consensus_error <= 1e-28
+    st = trace_record(problem, x[None], None, 0, 0.0, time.monotonic_ns())
+    assert st.consensus_error <= 1e-28
 
 
 def test_subspace_distance_identical():
