@@ -26,7 +26,7 @@ import numpy as np
 
 from . import manifolds
 from .errors import InvalidInputError
-from .numerics import thin_svd
+from .numerics import inverse_sqrt, thin_svd
 
 
 class GroundTruth(NamedTuple):
@@ -264,17 +264,31 @@ def _check_spectral_sizes(n, m_i, d, r, xi):
 
 
 def _spectral_data(n, m_i, d, xi, rng):
-    """Row data whose singular values are the controlled sequence xi^j."""
+    """Row data A = U diag(xi^1, ..., xi^d) V' and V, from an (n m_i, d)
+    Gaussian draw b0 through its d-by-d gram rather than a tall SVD.
+
+    (w, V) = eig(b0'b0), U1 = b0 V w^-1/2, and one refinement, as in
+    CholeskyQR2: U = U1 G^-1/2 with G = U1'U1.  U1 is orthonormal to about
+    eps cond(b0)^2, and G is near I, so whenever eps cond(b0)^2 < 1 the
+    refined U is orthonormal to rounding: A has singular values xi^j and
+    right singular vectors V to rounding.
+    """
     b0 = rng.standard_normal((n * m_i, d))
-    u, _, v = thin_svd(b0)
-    return u @ np.diag(xi ** np.arange(1, d + 1)) @ v.T, v
+    w, v = np.linalg.eigh(b0.T @ b0)  # ascending, so xi^j pairs with v[:, -j]
+    u1 = b0 @ (v / np.sqrt(w))
+    return u1 @ ((inverse_sqrt(u1.T @ u1) * xi ** np.arange(d, 0, -1)) @ v.T), v[:, ::-1]
 
 
 def gen_pca_data(n, m_i, d, r, xi, seed):
     """Synthetic PCA instance with singular values xi^1, ..., xi^d.
 
-    Rows are randomly permuted and split evenly over the n agents.  The
-    optimum is the top-r right singular subspace; the optimal value
+    The assembled matrix is A = U diag(xi^j) V' with U and V orthonormal
+    frames drawn from a Gaussian (n m_i, d) matrix b0 (see
+    :func:`_spectral_data`); its singular values are xi^j to rounding
+    whenever eps cond(b0)^2 < 1, which a Gaussian draw with n m_i >= d
+    meets unless it is nearly rank deficient.  Rows are randomly permuted
+    and split evenly over the n agents.  The optimum is the top-r right
+    singular subspace V[:, :r]; the optimal value
     -(1/2n) sum_{j<=r} xi^(2j) follows because the agent blocks partition
     the rows of the assembled matrix.
     """

@@ -1,28 +1,41 @@
-"""Golden runs: small runs whose output bytes pin the library's arithmetic.
+"""Golden runs: small runs whose output bytes and final values pin the
+library's arithmetic.
 
 A change that claims no behaviour change keeps these bytes
 (``tests/test_harness.py::test_golden_run_bytes``).  Rounding depends on
 the kernel that numpy's bundled OpenBLAS selects for the CPU, so the
 digests are kept per kernel name; ``OPENBLAS_CORETYPE`` selects another
-kernel of the same library.  The digests were made with numpy 2.4.6 on
+kernel of the same library, and :func:`kernel_runs` runs the golden runs
+under it in a subprocess.  The digests were made with numpy 2.4.6 on
 OpenBLAS 0.3.31 (scipy-openblas64, DYNAMIC_ARCH) on an x86-64 Xeon with
 AVX-512, Python 3.11.7.  Another BLAS build may round differently; then
 recapture them from a trusted commit on that machine: ``CAPTURE``, run
-from the repository root, prints the digest set of the kernel in use
-(``OPENBLAS_CORETYPE=<kernel>`` in front selects another) as a literal
-for ``DIGESTS``.
+from the repository root, prints the digest sets of the kernel in use and
+of every other kernel in ``DIGESTS`` as a literal for ``DIGESTS``.
 
-Provenance: the ``lrmc_ring``, ``lrmc_uneven`` and ``pca_dprgd`` sets of
-both kernels come from commit dd8c592.  The ``gevp_er`` and
-``gevp_consensus`` sets come from the child of c9ab057 that forms the
-B-Stiefel gram from the Cholesky factor of B and takes its inverse square
-root by Newton–Schulz steps near I; that moved GEVP results by rounding
-only (objective, grad^2 and distance to truth by at most 3.3e-15 relative).
+A change that moves bits on purpose re-captures digests; ``VALUES`` then
+checks that the new numbers are the old ones to rounding
+(``test_golden_run_values``).  It holds one kernel-independent set of
+final values per PCA and GEVP run, which every kernel must meet within
+``VALUE_RTOL`` and ``CONSENSUS_ATOL``.  The two LRMC runs have no value
+pins: between the two kernels their final values differ by 6e-7 to 5e-3
+relative, as a factor-1 LRMC run amplifies rounding.
+
+Provenance: the ``lrmc_ring`` and ``lrmc_uneven`` sets of both kernels come
+from commit dd8c592.  The ``gevp_er``, ``pca_dprgd`` and ``gevp_consensus``
+sets come from the child of a2cd076 that draws the PCA and GEVP data
+through the d-by-d gram of the Gaussian draw instead of its thin SVD; that
+moved their final values by rounding only, at most 5.9e-14 relative in
+grad^2, 3.3e-14 in d_s, 7.2e-15 in the objective and 3.1e-21 absolute in
+the consensus error over both kernels, against ``VALUES``.  ``VALUES`` is
+the SkylakeX final values of a2cd076.
 """
 
 import ctypes
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -62,10 +75,10 @@ RUNS = {
 DIGESTS = {
     "SkylakeX": {
         "gevp_er": {
-            "trace.csv": "c1866a49ccc7a4434b777d1c0cd6e8867c04f01a09c7ce0119f552f8cb91f9eb",
-            "points": "71997801326aff3fdba2467b3c22ad1c91f96787bbbce863a21cf8273c1121da",
-            "tracking_gap": "c8089f232b8758f14496e259b3bfff1a2c50e7dadc1334bb839964a7a557684f",
-            "s_hat_norm_sq": "d51f78b27ff182d726db69a6e7bcbfaf9586eed1525411c8471ec1514222d082",
+            "trace.csv": "025432951ed86f85d86d9e0fe86d0f624b8116354cfe971a5d15cc6c2fb0d3cf",
+            "points": "4935ab93f7162ffc806d1a22571b6726f32cda71eec6e52f9b1de727b93df57f",
+            "tracking_gap": "ff02745e74891b00c72c7a85677f1f75e03d5c8df949b7ef3bb3cdc35a5eb95d",
+            "s_hat_norm_sq": "52526ca06580a8ad5c2ae30ce03ad55c28b012441cfa48a0d2ff59b821bfef57",
         },
         "lrmc_ring": {
             "trace.csv": "303e85e94d9189603e118c756b4b989e1cd88854a996d5150ee86d27343de098",
@@ -80,20 +93,20 @@ DIGESTS = {
             "s_hat_norm_sq": "d7c6fb538a42ee3743e198117756d7f3773c466f5ad8eb6c6d2d713616cb6b2f",
         },
         "pca_dprgd": {
-            "trace.csv": "5fc0d2ad0318954c6d1ec8102cf4b894acdf8e9aace84ac039c376a785ee41ea",
-            "points": "012100592bf4e88fc6eaeb5dd059f5e564e56ca6243479c492b6459cf83396dd",
+            "trace.csv": "0a94943bb3fe8ff426c0e05b41d5cc85c04acfde8206a09fc4a0a0ec148531b3",
+            "points": "35bd58e4c27b72d3836bed3e47d1370103923c9fd11a2ac02b4a3f56c874504a",
         },
         "gevp_consensus": {
-            "trace.csv": "684effd4b5239a06250f5ef39d762d85797e975299339e0ecf1fc1ffbc96b48b",
+            "trace.csv": "d3b09c44772527a1aa2b0943feb8946066005440c44aabd598a5602dd7bf3fbe",
             "points": "7c9152391beba02a4a52cf03e77b1f289fbe6e4c9950b86e319fc7a494c11361",
         },
     },
     "Haswell": {
         "gevp_er": {
-            "trace.csv": "b5acd1b69071605c5dba7da2511f97ac235e29ed9e7738d7946666857e147c1c",
-            "points": "720ff87f046f631643dfeddafb9f94c8987e153917a086333576491d686ba72e",
-            "tracking_gap": "7132404c183789190e4590990ec978ae5f1d62fec6c0ec4efd3075a0c0f89be9",
-            "s_hat_norm_sq": "2a3692e15c6d456546393b33fc44bcbfe215976b0990c9c2f577738f92f54e66",
+            "trace.csv": "85e8536a4660d2f1897f9e716dc3fc186fca05900466aa0fae20c0a978f7b7fb",
+            "points": "dcc3eb39a8d7607e159d85f5bc0480544d4dbbaeea1db1c953ebcea8040d1e46",
+            "tracking_gap": "76b6dbcf31bfaf12b7f46da479aa8ae5c4c7db9da0e1c3f0f8ee64e4c0c3f278",
+            "s_hat_norm_sq": "05e95c7dde2b148ed464370830cb44a3d3a075baeb38402b32f26893d4fe6d4e",
         },
         "lrmc_ring": {
             "trace.csv": "fb305e2907f3bb0b6b306b99afd8ed10a6592cbdaff0d9ae36b0557caffc0570",
@@ -108,15 +121,54 @@ DIGESTS = {
             "s_hat_norm_sq": "a3b85ff8ef04ac6dd7ddfa6dbb399a4edcc34873b555be9ed9429ec4e7c271c2",
         },
         "pca_dprgd": {
-            "trace.csv": "7616be9b5ed896fc6016ecf440306681f75c53bbd1bc15817c4a732e26eb1ca4",
-            "points": "b95828cbdd992c6a476eda5163b7e30c4e6c22bc709efa8368ac180123f52e89",
+            "trace.csv": "f57d2e6bcbd6d53807ce2cb9503bdb9ddfe3185478125baaccba24c2f4c462e3",
+            "points": "5aa1b4707ec667ff098d7e96916689c24d8a77667134fe916a008b5d553d9427",
         },
         "gevp_consensus": {
-            "trace.csv": "4c8ac9f18cb6373de64b35fb0ea4f4937d6a7a7ae27510ec1f4da2779bfbd4bd",
+            "trace.csv": "fe527becbddaed13b6a45803261602fad137153b996fc368d3ed72ba52734b22",
             "points": "c83616bb39cacc63b1ffbe9822e4e0c67ed4ba202c040dda0fcd4d59232bccfd",
         },
     },
 }
+
+
+# The last trace record's fields that VALUES pins.
+FINALS = ("objective_at_mean", "grad_norm_sq", "dist_to_truth", "consensus_error")
+
+# Kernel-independent final values.  Objective, grad^2 and d_s must lie within
+# VALUE_RTOL relative of them: between the SkylakeX and Haswell kernels they
+# differ by up to 3.5e-14 relative (grad^2 of gevp_er), and the finals of the
+# d-by-d gram data lie within 5.9e-14 of them on either kernel.  The
+# consensus error, which is 1e-32 on an exact-consensus run, must lie within
+# CONSENSUS_ATOL absolute: the kernels differ by up to 5.0e-20 (pca_dprgd, at
+# 4.1e-7), and the gram data lies within 3.1e-21 (gevp_er, at 9.1e-9).
+VALUE_RTOL = 1e-12
+CONSENSUS_ATOL = 1e-18
+VALUES = {
+    "gevp_er": {"objective_at_mean": 0.009853890407362126,
+                "grad_norm_sq": 2.8385322151724234e-06,
+                "dist_to_truth": 0.28861565219410273,
+                "consensus_error": 9.112969040838587e-09},
+    "pca_dprgd": {"objective_at_mean": -0.07495916343100316,
+                  "grad_norm_sq": 0.0024104680309356137,
+                  "dist_to_truth": 1.3354622919156036,
+                  "consensus_error": 4.112475953324991e-07},
+    "gevp_consensus": {"objective_at_mean": 0.03585444065339475,
+                       "grad_norm_sq": 0.0011817289538073204,
+                       "dist_to_truth": 1.4588138546734535,
+                       "consensus_error": 1.195358138749106e-32},
+}
+
+
+def finals_off_pin(name, finals):
+    """The fields of ``finals`` that miss the run's VALUES pin, with the
+    value, the pin and the tolerance of each."""
+    off = {}
+    for field, pin in VALUES[name].items():
+        tol = CONSENSUS_ATOL if field == "consensus_error" else VALUE_RTOL * abs(pin)
+        if not abs(finals[field] - pin) <= tol:
+            off[field] = (finals[field], pin, tol)
+    return off
 
 
 def blas_kernel():
@@ -130,9 +182,13 @@ def blas_kernel():
     return None
 
 
-def digests(name, out_dir):
-    """sha256 of the golden run's trace.csv and final points, and for DPRGT
-    of its tracking_gap and s_hat_norm_sq."""
+def run(name, out_dir):
+    """The golden run's digests and final values.
+
+    The digests are the sha256 of its trace.csv and final points, and for
+    DPRGT of its tracking_gap and s_hat_norm_sq; the final values are the
+    ``FINALS`` fields of its last trace record.
+    """
     cfg = harness.resolve_config({**_COMMON, **RUNS[name], "out.dir": str(out_dir)})
     problem, truth, mixing, points, run_cfg = harness.build_run(cfg)
     trace = algorithms.run(run_cfg, problem, mixing, points, truth)
@@ -142,13 +198,45 @@ def digests(name, out_dir):
     if trace.tracking_gap is not None:
         got["tracking_gap"] = trace.tracking_gap.tobytes()
         got["s_hat_norm_sq"] = trace.s_hat_norm_sq.tobytes()
-    return {k: hashlib.sha256(b).hexdigest() for k, b in got.items()}
+    last = trace.records[-1]
+    return ({k: hashlib.sha256(b).hexdigest() for k, b in got.items()},
+            {field: getattr(last, field) for field in FINALS})
+
+
+def native_runs():
+    """{name: (digests, finals)} of every golden run, in this process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return {name: run(name, tmp) for name in RUNS}
+
+
+def _print_native_runs():
+    json.dump([blas_kernel(), native_runs()], sys.stdout)
+
+
+def kernel_runs(kernel):
+    """:func:`native_runs` under another kernel of the same OpenBLAS, in a
+    subprocess with ``OPENBLAS_CORETYPE=kernel``."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", "import golden; golden._print_native_runs()"],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    reported, runs = json.loads(out)
+    if reported != kernel:
+        raise RuntimeError(f"OPENBLAS_CORETYPE={kernel} ran the {reported} kernel")
+    return {name: tuple(result) for name, result in runs.items()}
 
 
 def main():
-    with tempfile.TemporaryDirectory() as tmp:
-        found = {name: digests(name, tmp) for name in RUNS}
-    json.dump({blas_kernel(): found}, sys.stdout, indent=4)
+    """Print the DIGESTS literal: the native kernel's set and that of every
+    other kernel in DIGESTS."""
+    native = blas_kernel()
+    found = {native: native_runs()}
+    for kernel in sorted(set(DIGESTS) - {native}):
+        found[kernel] = kernel_runs(kernel)
+    literal = {kernel: {name: got for name, (got, _) in runs.items()}
+               for kernel, runs in found.items()}
+    json.dump(literal, sys.stdout, indent=4)
     print()
 
 

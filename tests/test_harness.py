@@ -1,8 +1,6 @@
 import ast
-import json
 import math
 import os
-import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -250,19 +248,32 @@ def test_golden_run_bytes(tmp_path, name):
     assert kernel in golden.DIGESTS, (
         f"no golden digests for the BLAS kernel {kernel!r}; capture them from a trusted "
         f"commit with `{golden.CAPTURE}` and add them to tests/golden.py")
-    assert golden.digests(name, tmp_path) == golden.DIGESTS[kernel][name]
+    assert golden.run(name, tmp_path)[0] == golden.DIGESTS[kernel][name]
 
 
-def test_golden_run_bytes_under_other_blas_kernels():
-    # The other kernels' digests rot unless they are checked too: rerun the
+@pytest.mark.parametrize("name", sorted(golden.VALUES))
+def test_golden_run_values(tmp_path, name):
+    # A change that moves bits on purpose must still meet the value pins.
+    assert golden.finals_off_pin(name, golden.run(name, tmp_path)[1]) == {}
+
+
+@pytest.fixture(scope="module")
+def other_kernel_runs():
+    # The other kernels' results rot unless they are checked too: rerun the
     # golden runs in a subprocess with OPENBLAS_CORETYPE set to each one.
-    native = golden.blas_kernel()
-    src = Path(harness.__file__).resolve().parent.parent
-    for kernel in sorted(set(golden.DIGESTS) - {native}):
-        env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": str(src)}
-        out = subprocess.run([sys.executable, golden.__file__], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert json.loads(out) == {kernel: golden.DIGESTS[kernel]}, kernel
+    others = sorted(set(golden.DIGESTS) - {golden.blas_kernel()})
+    return {kernel: golden.kernel_runs(kernel) for kernel in others}
+
+
+def test_golden_run_bytes_under_other_blas_kernels(other_kernel_runs):
+    for kernel, runs in other_kernel_runs.items():
+        assert {name: got for name, (got, _) in runs.items()} == golden.DIGESTS[kernel], kernel
+
+
+def test_golden_run_values_under_other_blas_kernels(other_kernel_runs):
+    for kernel, runs in other_kernel_runs.items():
+        off = {name: golden.finals_off_pin(name, runs[name][1]) for name in golden.VALUES}
+        assert off == {name: {} for name in golden.VALUES}, kernel
 
 
 def test_manifest_reruns_to_identical_trace(tmp_path):

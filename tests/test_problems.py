@@ -4,13 +4,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decmanopt import manifolds
+from decmanopt import manifolds, problems
 from decmanopt.errors import InvalidInputError
 from decmanopt.metrics import subspace_distance
 from decmanopt.problems import (
     GevpProblem,
     LrmcProblem,
     PcaProblem,
+    _spectral_data,
     gen_gevp_data,
     gen_lrmc_data,
     gen_pca_data,
@@ -168,6 +169,52 @@ def test_gen_gevp_matches_dense_generalized_eig_oracle():
     assert subspace_distance(oracle, truth.x_star) < 1e-8
     assert abs(truth.f_star - 0.5 / 8 * np.sum(w[:5])) < 1e-12
     assert problem.spec.feasibility_residual(truth.x_star) <= 1e-8
+
+
+# -- spectral data ------------------------------------------------------------
+
+
+def svd_spectral_data(b0, xi):
+    """The reference construction of the PCA and GEVP data: A = U diag(xi^j) V'
+    from the thin SVD U diag(s) V' of the Gaussian draw b0."""
+    u, _, vt = np.linalg.svd(b0, full_matrices=False)
+    return u @ np.diag(xi ** np.arange(1, b0.shape[1] + 1)) @ vt
+
+
+@pytest.mark.parametrize("rows, d", [(10, 10), (11, 10), (40, 6), (360, 8), (8000, 10)])
+def test_spectral_data_matches_svd_construction(rows, d):
+    # Square draws reach cond(b0) ~ 5e2 over these seeds; there the gram
+    # route without its refinement step misses xi^j by up to 4.9e-12.
+    xi = 0.8
+    s = xi ** np.arange(1, d + 1)
+    for seed in range(50):
+        a, v = _spectral_data(1, rows, d, xi, np.random.default_rng(seed))
+        ref = svd_spectral_data(np.random.default_rng(seed).standard_normal((rows, d)), xi)
+        assert np.max(np.abs(np.linalg.svd(a, compute_uv=False) / s - 1)) <= 1e-13
+        # v[:, :r] is the PCA truth: A'A v = v diag(xi^2j), v orthonormal.
+        assert np.linalg.norm(a.T @ (a @ v) - v * s**2) <= 1e-13 * s[0] ** 2
+        assert np.linalg.norm(v.T @ v - np.eye(d)) <= 1e-13
+        assert np.linalg.norm(a - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_spectral_data_makes_no_tall_factorization(monkeypatch):
+    # Set-up time goes to factoring the (n m_i, d) draw, so no SVD or QR may
+    # see all n m_i rows; a count of shapes, not a timing.
+    shapes = []
+
+    def recording(fn):
+        def wrapped(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return fn(m, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "qr", recording(np.linalg.qr))
+    monkeypatch.setattr(problems, "thin_svd", recording(problems.thin_svd))
+    gen_pca_data(8, 1000, 10, 5, 0.8, seed=7)
+    gen_gevp_data(8, 1000, 10, 5, 0.8, seed=7)
+    assert (10, 10) in shapes  # the GEVP constraint's QR is seen
+    assert [shape for shape in shapes if shape[-2] == 8000] == []
 
 
 # -- quadratic upper bound ----------------------------------------------------
