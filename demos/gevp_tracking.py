@@ -1,9 +1,9 @@
 """Decentralized smallest generalized eigenpairs on the B-Stiefel manifold.
 
-The constraint x'Bx = I is handled in the B-metric tr(u'Bv): the B-polar
-projection is the nearest point in that metric, the tangent projection is
-u - x sym(x'Bu), and the Riemannian gradient is the tangent projection of
-B^(-1) times the Euclidean gradient.  Gradient tracking recovers the
+The constraint x'Bx = I is handled in whitened coordinates z = Cx,
+B = C'C, where it is z'z = I and the B-metric tr(u'Bv) is the Frobenius
+metric: the run is a Stiefel run on the whitened data A_i C^(-1), and the
+distance d_s maps its mean back by C^(-1).  Gradient tracking recovers the
 bottom generalized eigenspace of (sum A_i'A_i, B) to machine precision;
 the dense generalized eigensolve is printed as the reference.
 """

@@ -10,7 +10,8 @@ drive the consensus rate and the descent lemmas:
 Both are measured on random samples, together with the quadratic gap
 between the Euclidean mean of a cluster and its projection (the
 induced-mean inequality).  The second-order agreement is also measured on
-the generalized Stiefel manifold of the GEVP testbed, in its B-metric.
+the generalized Stiefel manifold of the GEVP testbed, in its whitened
+coordinates, where the Frobenius norm is the B-norm of ambient vectors.
 
 The descent lemmas also use the Riemannian quadratic upper bound
 f_i(y) <= f_i(x) + <grad f_i(x), y - x> + (L_i/2) ||y - x||^2, whose exact
@@ -38,21 +39,17 @@ def bound_ratio(problem, i, x, y):
 
 
 def extremal_pair(problem, i, eps):
-    """Agent i's top (PCA) or bottom (GEVP) eigenframe x, and y = x with its
-    first column turned by eps toward the opposite eigenvector.
+    """Agent i's minimizing eigenframe x, top (PCA) or bottom (GEVP), and
+    y = x with its first column turned by eps toward the opposite
+    eigenvector.
 
-    The eigenvectors are those of C^-T G_i C^-1 mapped back by C^-1, with
-    B = C'C (C = I on Stiefel), so x and y are feasible.
+    Eigenvectors of the signed gram of f_i, whitened on GEVP, come in that
+    order, and both frames are feasible in the problem's coordinates.
     """
-    spec = problem.spec
-    c = np.eye(spec.d) if spec.chol is None else spec.chol
-    gram = problem.agents[i].T @ problem.agents[i]
-    _, z = np.linalg.eigh(np.linalg.solve(c.T, np.linalg.solve(c.T, gram).T))
-    if isinstance(problem, dm.PcaProblem):
-        z = z[:, ::-1]
-    x = np.linalg.solve(c, z[:, :spec.r])
+    _, v = np.linalg.eigh(problem.grams[i])
+    x = v[:, :problem.spec.r]
     y = x.copy()
-    y[:, 0] = np.linalg.solve(c, np.cos(eps) * z[:, 0] + np.sin(eps) * z[:, -1])
+    y[:, 0] = np.cos(eps) * v[:, 0] + np.sin(eps) * v[:, -1]
     return x, y
 
 

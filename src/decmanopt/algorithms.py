@@ -86,7 +86,8 @@ def init_system(problem, mode=INIT_IDENTICAL, seed=0, delta=0.0):
     consensus error starts at exactly zero.  ``perturbed`` moves each copy
     along a random tangent direction of norm ``delta`` and reprojects; if
     the spread exceeds gamma/2 around the induced mean, delta is halved
-    until it fits.  Norms are the manifold's metric norms.
+    until it fits.  Norms are Frobenius norms in the spec's coordinates,
+    which on generalized Stiefel are the B-norms of the ambient points.
     """
     if delta < 0:
         raise InvalidInputError("delta must be nonnegative")
@@ -113,7 +114,8 @@ class Trace:
     DPRGT the tracking diagnostics.  ``status`` is ``completed``: a run that
     leaves the regime raises :class:`TubeViolationError` instead.
 
-    ``points`` is the (n, d, r) stack of the last iterate.  For DPRGT runs,
+    ``points`` is the (n, d, r) stack of the last iterate, in the
+    coordinates of the problem's spec (z = Cx for GEVP).  For DPRGT runs,
     ``s_hat_norm_sq[k]`` is ||(1/n) sum_i s_i||^2 and ``tracking_gap[k]``
     is ||(1/n) sum_i s_i - (1/n) sum_i grad f_i(x_i)|| at every iteration
     (not just at record points); both drive the conservation and rate

@@ -222,7 +222,8 @@ def run_experiment(cfg):
     records taken and the manifest, whose summary gives the final record
     or the abort iteration and agent.  A completed run's summary also
     gives ``final.agent_dist_mean``, the agents' mean subspace distance to
-    the generated truth x*.  An aborted run then re-raises.
+    the generated truth x*, each agent mapped back to ambient coordinates
+    as for ``dist_to_truth``.  An aborted run then re-raises.
     """
     os.makedirs(require_out_dir(cfg), exist_ok=True)
     trace_path = os.path.join(cfg.out_dir, "trace.csv")
@@ -242,7 +243,7 @@ def run_experiment(cfg):
         summary = {"status": trace.status, "final.iter": final.iter}
         summary.update((f"final.{name}", metrics.fmt_float(getattr(final, name))) for name in
                        ("consensus_error", "objective_at_mean", "grad_norm_sq", "dist_to_truth"))
-        dists = [metrics.subspace_distance(x, truth.x_star) for x in trace.points]
+        dists = [metrics.truth_distance(problem.spec, x, truth.x_star) for x in trace.points]
         summary["final.agent_dist_mean"] = metrics.fmt_float(np.mean(dists))
     summary["timing.wall_ns"] = time.monotonic_ns() - started
     summary["network.sigma2"] = metrics.fmt_float(mixing.sigma2)

@@ -1,29 +1,25 @@
 """Compact matrix submanifolds: Stiefel and generalized (B-)Stiefel.
 
-A :class:`ManifoldSpec` is its ambient shape d-by-r and its constraint
-matrix: ``b`` None gives Stiefel, x'x = I, with the Frobenius metric; an SPD
-``b`` gives generalized Stiefel, x'Bx = I, with the B-metric
-<u, v>_B = tr(u'Bv).  That one metric serves every norm, inner product,
-tangent projection and gradient.  Points and tangent vectors are plain
-ndarrays; feasibility and tangency are checked through residual helpers
-instead of wrapper types.
+A :class:`ManifoldSpec` is its ambient shape d-by-r and, on generalized
+Stiefel {x : x'Bx = I_r}, the upper Cholesky factor C of the SPD B = C'C.
+Points and tangent vectors are plain ndarrays; feasibility and tangency
+are checked through residual helpers instead of wrapper types.
 
-* Stiefel: the projection is the polar factor u @ v.T of the thin SVD, the
-  nearest point in Frobenius norm; the tangent projection is
-  u - x sym(x'u).
-* generalized Stiefel: the projection is the B-polar map
-  y @ (y'By)^(-1/2) = B^(-1/2) polar(B^(1/2) y), the nearest point in the
-  B-norm; the tangent projection is u - x sym(x'Bu), orthogonal in the
-  B-metric.  x -> B^(1/2) x is an isometry onto Stiefel in that metric, so
-  the Stiefel theory, and its proximal-smoothness constant gamma = 0.5,
-  carry over unchanged.  The gram y'By is formed as (Cy)'(Cy) from the
-  upper Cholesky factor C of B = C'C, made once per manifold; its inverse
-  square root is taken by Newton–Schulz steps when it is near I, as it is
-  inside the tube, and by ``eigh`` otherwise (see ``numerics``).
+Generalized Stiefel is worked in whitened coordinates z = Cx: x'Bx = z'z,
+and the B-metric tr(u'Bv) is the Frobenius metric of Cu and Cv, so
+x -> Cx is an isometry onto Stiefel.  The Stiefel theory, with its
+proximal-smoothness constant gamma = 0.5, carries over, and every map
+takes its Stiefel form: the Frobenius metric, the tangent projection
+u - x sym(x'u), and the Riemannian gradient as the tangent projection of
+the Euclidean one.  A GEVP problem whitens its own data, so its points,
+a run's final stack too, are z = Cx; ``metrics`` maps them back by C^(-1)
+only for the distance to a ground truth.  Random draws are Gaussian
+matrices mapped by C: ambient draws seen in whitened coordinates.
 
-The Riemannian gradient of f is the tangent projection of the metric's
-gradient: of the Euclidean gradient on Stiefel, of B^(-1) times it on
-generalized Stiefel.
+The projection is the polar factor, the nearest point in Frobenius norm:
+u @ v.T of the thin SVD without C, and y @ (y'y)^(-1/2) with C, whose
+inverse square root is taken by Newton–Schulz steps when y'y is near I,
+as inside the tube, and by ``eigh`` otherwise (see ``numerics``).
 
 Both maps take one d-by-r matrix or an (n, d, r) stack with the agent
 index first; a stack is handled by one batched call of the numerics
@@ -39,11 +35,11 @@ import numpy as np
 from .errors import InvalidInputError, SingularityError
 from .numerics import (
     RANK_RTOL,
+    SYM_RTOL,
     inverse_sqrt,
     reject_blocks,
     require_finite,
     sym,
-    sym_eig,
     thin_svd,
 )
 
@@ -51,46 +47,29 @@ from .numerics import (
 FEAS_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as b is an array
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as chol is an array
 class ManifoldSpec:
-    """Stiefel (``b`` None) or generalized Stiefel (SPD ``b``) d-by-r matrices."""
+    """Stiefel (``chol`` None) or whitened generalized Stiefel d-by-r
+    matrices, with ``chol`` the upper Cholesky factor C of B = C'C, as
+    :func:`generalized_stiefel` makes it from a checked B."""
 
-    # The manifold is 2*gamma-proximally smooth in its metric.  0.5 is the
-    # certified Stiefel value, and generalized Stiefel in the B-metric is an
-    # isometric copy of Stiefel, so it holds on both.
+    # The manifold is 2*gamma-proximally smooth.  0.5 is the certified
+    # Stiefel value, and whitened generalized Stiefel is Stiefel.
     gamma = 0.5
 
     d: int
     r: int
-    b: np.ndarray | None = field(default=None, repr=False)
-    b_inv: np.ndarray | None = field(default=None, init=False, repr=False)
-    # The upper Cholesky factor C of B = C'C.
-    chol: np.ndarray | None = field(default=None, init=False, repr=False)
+    chol: np.ndarray | None = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
         if not (1 <= self.r <= self.d):
             raise InvalidInputError(f"need 1 <= r <= d, got d={self.d}, r={self.r}")
-        if self.b is not None:
-            b = np.asarray(self.b, dtype=float)
-            if b.shape != (self.d, self.d):
-                raise InvalidInputError(f"b must be {self.d}x{self.d}, got {b.shape}")
-            w, v = sym_eig(b)
-            if w[0] <= RANK_RTOL * w[-1] or w[-1] <= 0:
-                raise InvalidInputError("b must be symmetric positive definite")
-            object.__setattr__(self, "b", 0.5 * (b + b.T))
-            object.__setattr__(self, "b_inv", (v / w) @ v.T)
-            object.__setattr__(self, "chol", np.linalg.cholesky(self.b).T)
-
-    def _metric(self, u):
-        """The metric operator applied to u: u itself, or B u."""
-        return u if self.b is None else self.b @ u
 
     # -- feasibility -------------------------------------------------------
 
     def gram(self, x):
-        """x'x (Stiefel) or (Cx)'(Cx) = x'Bx (generalized Stiefel)."""
-        cx = x if self.b is None else self.chol @ x
-        return cx.mT @ cx
+        """x'x, of a matrix or of each block of a stack."""
+        return x.mT @ x
 
     def feasibility_residual(self, x):
         """Frobenius distance of the constraint Gram matrix from the identity."""
@@ -99,13 +78,12 @@ class ManifoldSpec:
     # -- metric ------------------------------------------------------------
 
     def inner(self, u, v):
-        """<u, v> summed over every entry (and every block of a stack):
-        sum(u * v) on Stiefel, tr(u'Bv) on generalized Stiefel."""
-        return float(np.sum(u * self._metric(v)))
+        """sum(u * v) over every entry (and every block of a stack)."""
+        return float(np.sum(u * v))
 
     def norm(self, u):
-        """The metric norm of a matrix, or of each block of a stack."""
-        return np.sqrt(np.sum(u * self._metric(u), axis=(-2, -1)))
+        """The Frobenius norm of a matrix, or of each block of a stack."""
+        return np.sqrt(np.sum(u * u, axis=(-2, -1)))
 
     # -- projections -------------------------------------------------------
 
@@ -117,21 +95,24 @@ class ManifoldSpec:
         deficient; it then lies outside the tube where the projection is
         single valued.
         """
-        if self.b is None:
+        # One formula would serve both manifolds; the Stiefel bits are
+        # pinned by the LRMC golden runs and the benchmark's sweep
+        # reference, so the SVD stays until ROADMAP item 4.
+        if self.chol is None:
             u, s, v = thin_svd(y)
             reject_blocks(SingularityError, s[..., -1] <= RANK_RTOL * s[..., 0],
                           "projection target is rank deficient")
             return u @ v.mT
-        # No sym and no symmetry check: numpy forms (Cy)'(Cy) as a symmetric
+        # No sym and no symmetry check: numpy forms y'y as a symmetric
         # rank-k update and mirrors its triangle (without BLAS, G_ij and G_ji
         # add the same products in the same order), so the gram is exactly
         # symmetric, as inverse_sqrt requires.
         return y @ inverse_sqrt(self.gram(y))
 
     def tangent_project(self, x, u):
-        """Metric-orthogonal projection of u onto the tangent space at x, or
+        """Orthogonal projection of u onto the tangent space at x, or
         blockwise for stacks x and u."""
-        return u - x @ sym(x.mT @ (u if self.b is None else self.b @ u))
+        return u - x @ sym(x.mT @ u)
 
     # The iteration loop calls the maps on agent stacks by these names, which
     # keeps their time apart from the single-matrix calls in per-layer traces.
@@ -142,18 +123,21 @@ class ManifoldSpec:
         """The Riemannian gradient at x (or at each block of a stack) of a
         function with Euclidean gradient ``egrad``, which must be finite."""
         egrad = require_finite(egrad)
-        u = egrad if self.b is None else self.b_inv @ egrad
-        # tangent_project(x, u), with x'B(B^(-1) egrad) = x'egrad.
-        return u - x @ sym(x.mT @ egrad)
+        return egrad - x @ sym(x.mT @ egrad)
 
     # -- sampling ----------------------------------------------------------
 
+    def _draw(self, rng):
+        """A Gaussian d-by-r draw, mapped by C on generalized Stiefel."""
+        g = rng.standard_normal((self.d, self.r))
+        return g if self.chol is None else self.chol @ g
+
     def random_point(self, rng):
-        return self.project(rng.standard_normal((self.d, self.r)))
+        return self.project(self._draw(rng))
 
     def random_tangent(self, x, rng, norm):
-        """A random tangent vector at x, rescaled to the given metric norm."""
-        v = self.tangent_project(x, rng.standard_normal((self.d, self.r)))
+        """A random tangent vector at x, rescaled to the given norm."""
+        v = self.tangent_project(x, self._draw(rng))
         nv = self.norm(v)
         return v * (norm / nv) if nv > 0 else v
 
@@ -164,9 +148,22 @@ def stiefel(d, r):
 
 
 def generalized_stiefel(d, r, b):
-    """The generalized Stiefel manifold {x : x'Bx = I_r} for SPD B, with the
-    B-metric."""
-    return ManifoldSpec(d, r, np.asarray(b, dtype=float))
+    """The generalized Stiefel manifold {x : x'Bx = I_r}, in the whitened
+    coordinates z = Cx of B = C'C.  B must be finite, symmetric within
+    ``SYM_RTOL`` (relative, Frobenius) and positive definite within
+    ``RANK_RTOL``; its symmetric part is factored."""
+    b = np.asarray(b, dtype=float)
+    if b.shape != (d, d):
+        raise InvalidInputError(f"b must be {d}x{d}, got {b.shape}")
+    b = require_finite(b)
+    asym = b - b.T
+    if np.sum(asym * asym) > SYM_RTOL**2 * np.sum(b * b):
+        raise InvalidInputError("matrix is not symmetric within tolerance")
+    b = sym(b)
+    w = np.linalg.eigvalsh(b)
+    if w[0] <= RANK_RTOL * w[-1] or w[-1] <= 0:
+        raise InvalidInputError("b must be symmetric positive definite")
+    return ManifoldSpec(d, r, chol=np.linalg.cholesky(b).T)
 
 
 @dataclass
@@ -181,19 +178,18 @@ class ProjectionProbeReport:
 def check_projection_lipschitz(spec, trials, noise_scale=None, seed=0):
     """Probe the two projection inequalities with random perturbations.
 
-    Samples a feasible x and ambient perturbations u, u' with metric norms
-    drawn uniformly from [s/2, s], s = ``noise_scale`` (default: spec.gamma,
-    the largest radius for which the 2-Lipschitz bound is claimed), and
-    records, in the metric,
+    Samples a feasible x and perturbations u, u' (draws of the spec, so
+    Gaussian in ambient coordinates) with norms drawn uniformly from
+    [s/2, s], s = ``noise_scale`` (default: spec.gamma, the largest radius
+    for which the 2-Lipschitz bound is claimed), and records
 
     * max ||P(x+u) - P(x+u')|| / ||u - u'||   (Lipschitz ratio), and
     * max ||P(x+u) - x - P_T(u)|| / ||u||^2   (quadratic ratio).
 
     Keeping ||u|| >= s/2 keeps the quadratic ratio above the roundoff of x's
-    own feasibility at small s.  Every sample is projectable: Cx has
-    orthonormal columns (C = I on Stiefel, B = C'C otherwise) and
-    ||Cu||_2 <= ||u|| <= s <= gamma = 1/2, so every singular value of C(x+u)
-    is at least 1/2.
+    own feasibility at small s.  Every sample is projectable: x has
+    orthonormal columns and ||u||_2 <= ||u|| <= s <= gamma = 1/2, so every
+    singular value of x + u is at least 1/2.
     """
     if trials < 1:
         raise InvalidInputError("trials must be at least 1")
@@ -206,8 +202,8 @@ def check_projection_lipschitz(spec, trials, noise_scale=None, seed=0):
     max_quad = 0.0
     for _ in range(trials):
         x = spec.random_point(rng)
-        u = rng.standard_normal((spec.d, spec.r))
-        up = rng.standard_normal((spec.d, spec.r))
+        u = spec._draw(rng)
+        up = spec._draw(rng)
         u *= rng.uniform(0.5 * noise_scale, noise_scale) / max(spec.norm(u), 1e-300)
         up *= rng.uniform(0.5 * noise_scale, noise_scale) / max(spec.norm(up), 1e-300)
         pu = spec.project(x + u)

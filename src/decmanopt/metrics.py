@@ -3,11 +3,13 @@
 The induced mean of agents x_1..x_n is the projection of their Euclidean
 average onto the manifold; the stationarity pair is the consensus error
 (1/n) sum ||x_i - xbar||^2 together with ||grad f(xbar)||^2, both in the
-manifold's metric (the B-norm on generalized Stiefel).  The
-subspace distance d_s is the orthogonal-Procrustes-aligned Frobenius
-distance (alignment over the full orthogonal group, reflections
-included), which is invariant to the right-orthogonal gauge of frame
-optima.  :func:`trace_record` takes all of them at one iterate.
+Frobenius norm (the B-norm of x in generalized Stiefel's whitened
+coordinates z = Cx).  The subspace distance d_s is the
+orthogonal-Procrustes-aligned Frobenius distance (alignment over the full
+orthogonal group, reflections included), which is invariant to the
+right-orthogonal gauge of frame optima; a ground truth is ambient, so a
+whitened point is mapped back by C^(-1) first.  :func:`trace_record`
+takes all of them at one iterate.
 """
 
 import time
@@ -45,12 +47,10 @@ def induced_mean(spec, points):
     return x_hat, spec.project(x_hat)
 
 
-def consensus_error(points, x_bar, spec=None):
-    """(1/n) sum_i ||x_i - xbar||^2 in the metric of ``spec``, or in the
-    Frobenius norm without one."""
+def consensus_error(points, x_bar):
+    """(1/n) sum_i ||x_i - xbar||^2 in the Frobenius norm."""
     dev = points - x_bar
-    sq = float(np.sum(dev * dev)) if spec is None else spec.inner(dev, dev)
-    return sq / points.shape[0]
+    return float(np.sum(dev * dev)) / points.shape[0]
 
 
 def subspace_distance(x, x_star):
@@ -64,11 +64,17 @@ def subspace_distance(x, x_star):
     return float(np.linalg.norm(x @ q - x_star))
 
 
+def truth_distance(spec, x, x_star):
+    """d_s(C^-1 x, x*) for a point x in the coordinates of ``spec``, with
+    C = spec.chol on generalized Stiefel; d_s(x, x*) on Stiefel."""
+    return subspace_distance(x if spec.chol is None else np.linalg.solve(spec.chol, x), x_star)
+
+
 def trace_record(problem, points, truth, k, step_size, t_start):
     """The trace record of iterate k: the stationarity pair (consensus
-    error, ||grad f(xbar)||^2) and f(xbar) at the induced mean xbar, d_s to
-    ``truth.x_star`` (None without a truth), and the wall time since
-    ``t_start`` (a ``time.monotonic_ns`` reading).
+    error, ||grad f(xbar)||^2) and f(xbar) at the induced mean xbar, d_s
+    to ``truth.x_star`` (:func:`truth_distance`; None without a truth), and
+    the wall time since ``t_start`` (a ``time.monotonic_ns`` reading).
 
     f(xbar) and its Euclidean gradient come from one data sweep; averaging
     the per-agent Euclidean gradients at xbar and mapping once equals
@@ -81,10 +87,10 @@ def trace_record(problem, points, truth, k, step_size, t_start):
     return TraceRecord(
         iter=k,
         step_size=step_size,
-        consensus_error=consensus_error(points, x_bar, spec),
+        consensus_error=consensus_error(points, x_bar),
         objective_at_mean=value,
         grad_norm_sq=spec.inner(g, g),
-        dist_to_truth=None if truth is None else subspace_distance(x_bar, truth.x_star),
+        dist_to_truth=None if truth is None else truth_distance(spec, x_bar, truth.x_star),
         wall_ns=time.monotonic_ns() - t_start,
     )
 

@@ -1,19 +1,19 @@
 """Dense linear-algebra kernels used by every other module.
 
 Thin wrappers around LAPACK (via numpy) that pin down conventions and
-tolerances: thin SVD, symmetric eigendecomposition and SPD inverse square
-root.  All functions are pure and deterministic: identical input bits give
-identical output bits.
+tolerances: thin SVD and SPD inverse square root, with the tolerances by
+which ``manifolds`` also checks a generalized Stiefel B.  All functions
+are pure and deterministic: identical input bits give identical output
+bits.
 
 Every kernel takes one matrix or a stack of them with the block index
-first, shape (n, p, q) for :func:`thin_svd` and (n, r, r) for the others.
-A stack goes through batched calls, and each of its blocks gets the same
-bits as a call on that block alone.  An error raised for a stack names the
-first failing block in its message and in its ``block`` attribute.
+first, shape (n, p, q) for :func:`thin_svd` and (n, r, r) for
+:func:`inverse_sqrt`.  A stack goes through batched calls, and each of its
+blocks gets the same bits as a call on that block alone.  An error raised
+for a stack names the first failing block in its message and in its
+``block`` attribute.
 
-:func:`thin_svd` and :func:`sym_eig` reject NaN or Inf anywhere in their
-input, and :func:`sym_eig`, which checks external matrices such as a
-B-Stiefel ``b``, rejects asymmetry beyond ``SYM_RTOL`` in any block.
+:func:`thin_svd` rejects NaN or Inf anywhere in its input.
 :func:`inverse_sqrt` takes an exactly symmetric matrix, such as a gram
 a'a, whose one triangle numpy mirrors into the other.  A block s with
 ||s - I||_F <= ``NEAR_IDENTITY`` gets at most three Newton–Schulz steps
@@ -33,7 +33,8 @@ from .errors import InvalidInputError, NonFiniteError, SingularityError
 # deficient / not positive definite.
 RANK_RTOL = 1e-12
 
-# Relative asymmetry tolerated by sym_eig before rejecting the input.
+# Relative asymmetry, in the Frobenius norm, tolerated in a generalized
+# Stiefel B before it is rejected.
 SYM_RTOL = 1e-8
 
 _EPS = np.finfo(float).eps
@@ -92,25 +93,6 @@ def thin_svd(m):
         raise InvalidInputError(f"thin_svd expects p >= q, got shape {m.shape}")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     return u, s, vt.mT
-
-
-def sym_eig(m):
-    """Eigendecomposition of a symmetric matrix or of each block of a stack.
-
-    Returns (w, v) with eigenvalues w ascending and orthonormal eigenvector
-    columns v.  The input is symmetrized internally; asymmetry beyond
-    ``SYM_RTOL`` relative to a block's norm is rejected.
-    """
-    m = require_finite(m)
-    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
-        raise InvalidInputError(f"sym_eig expects square matrices, got shape {m.shape}")
-    # Squared Frobenius norms per block: ||m - m'||^2 > SYM_RTOL^2 ||m||^2.
-    d = m - m.mT
-    asym_sq = np.einsum("...ij,...ij->...", d, d)
-    scale_sq = np.einsum("...ij,...ij->...", m, m)
-    reject_blocks(InvalidInputError, asym_sq > SYM_RTOL**2 * scale_sq,
-                  "matrix is not symmetric within tolerance")
-    return np.linalg.eigh(sym(m))
 
 
 @functools.lru_cache(maxsize=16)

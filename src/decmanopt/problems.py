@@ -6,12 +6,14 @@ Euclidean gradients with agent i evaluated at its own block xs[i], and
 ``mean_value_and_gradient(x)``, the global objective f(x) = (1/n) sum_i
 f_i(x) and its Euclidean gradient at a common point.  ``local_value(i, x)``
 and ``local_grad(i, x)`` give one agent's terms for the oracle checks.
-Riemannian gradients are obtained through the problem's manifold spec.
-PCA and GEVP also give ``lipschitz()``, the exact per-agent constants of
-the Riemannian quadratic upper bound.
+Points are in the coordinates of the problem's manifold spec, through
+which Riemannian gradients are obtained.  PCA and GEVP also give
+``lipschitz()``, the exact per-agent constants of the Riemannian quadratic
+upper bound.
 
 * PCA:   f_i(x) = -1/2 tr(x' A_i'A_i x)      on St(d, r)
-* GEVP:  f_i(x) = +1/2 tr(x' A_i'A_i x)      on St_B(d, r)
+* GEVP:  f_i(x) = +1/2 tr(x' A_i'A_i x)      on St_B(d, r), B = C'C, held
+  in whitened coordinates z = Cx as +1/2 tr(z' C^-T A_i'A_i C^-1 z)
 * LRMC:  f_i(X) = 1/2 || mask_i * (X V_i(X) - A_i) ||^2   on St(m, r),
   with V_i(X) the per-column minimum-norm least-squares fit to the
   observed entries.
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import manifolds
 from .errors import InvalidInputError
-from .numerics import inverse_sqrt, thin_svd
+from .numerics import inverse_sqrt, sym, thin_svd
 
 
 class GroundTruth(NamedTuple):
@@ -42,8 +44,10 @@ def _check_agent(problem, i):
 
 
 class _QuadraticTraceProblem:
-    """Common core of PCA and GEVP: f_i(x) = sign/2 tr(x' A_i'A_i x).  The
-    grams are stored times the sign (exactly), so a gradient is one product."""
+    """Common core of PCA and GEVP: f_i(x) = sign/2 tr(x' G_i x) with
+    G_i = A_i'A_i, or C^-T A_i'A_i C^-1 in the whitened coordinates of a
+    generalized Stiefel spec.  ``grams`` holds the G_i times the sign
+    (exactly), so a gradient is one product."""
 
     _sign = 1.0
 
@@ -53,8 +57,12 @@ class _QuadraticTraceProblem:
             raise InvalidInputError(f"all agent matrices must have {spec.d} columns")
         self.agents = [np.asarray(a, dtype=float) for a in agents]
         self.spec = spec
-        self._grams = self._sign * np.stack([a.T @ a for a in self.agents])
-        self._total_gram = self._grams.sum(axis=0)
+        grams = np.stack([a.T @ a for a in self.agents])
+        if spec.chol is not None:
+            ct = spec.chol.T
+            grams = sym(np.linalg.solve(ct, np.linalg.solve(ct, grams).mT))
+        self.grams = self._sign * grams
+        self._total_gram = self.grams.sum(axis=0)
 
     @property
     def n_agents(self):
@@ -62,31 +70,28 @@ class _QuadraticTraceProblem:
 
     def local_value(self, i, x):
         _check_agent(self, i)
-        return 0.5 * float(np.sum(x * (self._grams[i] @ x)))
+        return 0.5 * float(np.sum(x * (self.grams[i] @ x)))
 
     def local_grad(self, i, x):
         _check_agent(self, i)
-        return self._grams[i] @ x
+        return self.grams[i] @ x
 
     def local_grads(self, xs):
-        return self._grams @ xs
+        return self.grams @ xs
 
     def lipschitz(self):
-        """Per-agent constants L_i = lambda_max(C^-T G_i C^-1) of the bound
+        """Per-agent constants L_i = lambda_max(G_i) of the bound
         f_i(y) <= f_i(x) + <grad f_i(x), D> + L_i/2 ||D||^2, D = y - x, for
-        feasible x, y in the manifold's metric; G_i = A_i'A_i, B = C'C with
-        C = spec.chol, and C = I on Stiefel, where L_i = ||G_i||_2.
+        feasible x, y, with G_i the gram of f_i in the spec's coordinates.
 
-        With S = x'G_i x, feasibility gives sym(x'BD) = -1/2 D'BD, so the gap
+        With S = x'G_i x, feasibility gives sym(x'D) = -1/2 D'D, so the gap
         f_i(y) - f_i(x) - <grad f_i(x), D> is 1/2 (tr(S D'D) - tr(D'G_i D))
-        (PCA) or 1/2 (tr(D'G_i D) - tr(S D'BD)) (GEVP).  The second terms are
-        nonpositive; lambda_max(S) <= ||G_i||_2 and tr(D'G_i D) <= L_i ||CD||^2
+        (PCA) or 1/2 (tr(D'G_i D) - tr(S D'D)) (GEVP).  The second terms are
+        nonpositive; lambda_max(S) <= L_i and tr(D'G_i D) <= L_i ||D||^2
         bound the first.  For x an extreme eigenframe and y = x with one column
         tilted toward the opposite eigenvector, 2 gap/||D||^2 -> L_i - lambda_min.
         """
-        ct = (np.eye(self.spec.d) if self.spec.chol is None else self.spec.chol).T
-        grams = self._sign * self._grams
-        return np.linalg.eigvalsh(np.linalg.solve(ct, np.linalg.solve(ct, grams).mT))[:, -1]
+        return np.linalg.eigvalsh(self._sign * self.grams)[:, -1]
 
     def mean_value_and_gradient(self, x):
         sx = self._total_gram @ x
@@ -101,12 +106,13 @@ class PcaProblem(_QuadraticTraceProblem):
 
 
 class GevpProblem(_QuadraticTraceProblem):
-    """Smallest generalized eigenpairs of (sum A_i'A_i, B) via B-orthonormal frames."""
+    """Smallest generalized eigenpairs of (sum A_i'A_i, B) via B-orthonormal
+    frames, worked in the whitened coordinates z = Cx of its spec."""
 
     _sign = 1.0
 
     def __init__(self, agents, spec):
-        if spec.b is None:
+        if spec.chol is None:
             raise InvalidInputError("GevpProblem requires a generalized Stiefel spec")
         super().__init__(agents, spec)
 
@@ -325,6 +331,7 @@ def gen_gevp_data(n, m_i, d, r, xi, seed):
     :func:`gevp_constraint`, drawn from the same seeded generator.  The ground
     truth is the r smallest generalized eigenpairs of (sum A_i'A_i, B),
     computed by Cholesky reduction to a standard symmetric eigenproblem.
+    x* is in ambient coordinates, and the problem's points are z = Cx.
     """
     _check_spectral_sizes(n, m_i, d, r, xi)
     rng = np.random.default_rng(seed)

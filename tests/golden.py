@@ -22,13 +22,17 @@ pins: between the two kernels their final values differ by 6e-7 to 5e-3
 relative, as a factor-1 LRMC run amplifies rounding.
 
 Provenance: the ``lrmc_ring`` and ``lrmc_uneven`` sets of both kernels come
-from commit dd8c592.  The ``gevp_er``, ``pca_dprgd`` and ``gevp_consensus``
-sets come from the child of a2cd076 that draws the PCA and GEVP data
-through the d-by-d gram of the Gaussian draw instead of its thin SVD; that
-moved their final values by rounding only, at most 5.9e-14 relative in
-grad^2, 3.3e-14 in d_s, 7.2e-15 in the objective and 3.1e-21 absolute in
-the consensus error over both kernels, against ``VALUES``.  ``VALUES`` is
-the SkylakeX final values of a2cd076.
+from commit dd8c592.  The ``pca_dprgd`` sets come from the child of a2cd076
+that draws the PCA and GEVP data through the d-by-d gram of the Gaussian
+draw instead of its thin SVD; that moved its final values by rounding
+only.  The ``gevp_er`` and ``gevp_consensus`` sets come from the child of
+36dde69 that runs GEVP in whitened coordinates z = Cx; against the finals
+of 36dde69 that moved them by at most 5.4e-15 relative in grad^2, 4.8e-15
+in d_s, 1.9e-16 in the objective and 1.6e-21 absolute in the consensus
+error over both kernels.  Against ``VALUES``, the GEVP finals now lie
+within 5.4e-14 relative (grad^2 of gevp_er under Haswell) and 4.6e-21
+absolute in the consensus error.  ``VALUES`` is the SkylakeX final values
+of a2cd076.
 """
 
 import ctypes
@@ -75,10 +79,10 @@ RUNS = {
 DIGESTS = {
     "SkylakeX": {
         "gevp_er": {
-            "trace.csv": "025432951ed86f85d86d9e0fe86d0f624b8116354cfe971a5d15cc6c2fb0d3cf",
-            "points": "4935ab93f7162ffc806d1a22571b6726f32cda71eec6e52f9b1de727b93df57f",
-            "tracking_gap": "ff02745e74891b00c72c7a85677f1f75e03d5c8df949b7ef3bb3cdc35a5eb95d",
-            "s_hat_norm_sq": "52526ca06580a8ad5c2ae30ce03ad55c28b012441cfa48a0d2ff59b821bfef57",
+            "trace.csv": "a88a971ec0e47ea133a18ce9a4264a52e2fdddf9fe6b3085b5081f6571012ed4",
+            "points": "5fbf5c483332863cf612f2ef56063bd37156febc99bb2c3574471c57847231b0",
+            "tracking_gap": "c361d1d58ba7f56537876176d4f4d85d3e7486a4d06200bfcc305f8516c9e39b",
+            "s_hat_norm_sq": "5798b10a230b42d9479860d68b7a76d4bc6bf54eb96418d6a9f42e36bb4e1f21",
         },
         "lrmc_ring": {
             "trace.csv": "303e85e94d9189603e118c756b4b989e1cd88854a996d5150ee86d27343de098",
@@ -97,16 +101,16 @@ DIGESTS = {
             "points": "35bd58e4c27b72d3836bed3e47d1370103923c9fd11a2ac02b4a3f56c874504a",
         },
         "gevp_consensus": {
-            "trace.csv": "d3b09c44772527a1aa2b0943feb8946066005440c44aabd598a5602dd7bf3fbe",
-            "points": "7c9152391beba02a4a52cf03e77b1f289fbe6e4c9950b86e319fc7a494c11361",
+            "trace.csv": "088dc8ff37fceadf6ff081f182f2c09fea2ab2c4147112191c8bc4e041548903",
+            "points": "71c0d8444f1ec72380c3c69716b5ded198829123f8d96cd0328700a475483478",
         },
     },
     "Haswell": {
         "gevp_er": {
-            "trace.csv": "85e8536a4660d2f1897f9e716dc3fc186fca05900466aa0fae20c0a978f7b7fb",
-            "points": "dcc3eb39a8d7607e159d85f5bc0480544d4dbbaeea1db1c953ebcea8040d1e46",
-            "tracking_gap": "76b6dbcf31bfaf12b7f46da479aa8ae5c4c7db9da0e1c3f0f8ee64e4c0c3f278",
-            "s_hat_norm_sq": "05e95c7dde2b148ed464370830cb44a3d3a075baeb38402b32f26893d4fe6d4e",
+            "trace.csv": "a3078d8401e68a1fa437508c076bc955ee4b5ba691417c32f45ded7b4951b796",
+            "points": "bc5b4f3eaab48e85eb974759d57573661805536514c90bad6792ff0f765270b1",
+            "tracking_gap": "117d49c2771b8d3b63673b54c9e2a4a933e7c6a4de8fe95b5f5503e866814e86",
+            "s_hat_norm_sq": "54a28dad2a80cd1dd1dcecf294fbcb2f1f4d0715a0cd86435bd91e6291a2c1f0",
         },
         "lrmc_ring": {
             "trace.csv": "fb305e2907f3bb0b6b306b99afd8ed10a6592cbdaff0d9ae36b0557caffc0570",
@@ -125,8 +129,8 @@ DIGESTS = {
             "points": "5aa1b4707ec667ff098d7e96916689c24d8a77667134fe916a008b5d553d9427",
         },
         "gevp_consensus": {
-            "trace.csv": "fe527becbddaed13b6a45803261602fad137153b996fc368d3ed72ba52734b22",
-            "points": "c83616bb39cacc63b1ffbe9822e4e0c67ed4ba202c040dda0fcd4d59232bccfd",
+            "trace.csv": "64344d614058e97a2e049209c03bd05e74e360ea46ac1d089c0ac2aba78e447a",
+            "points": "93a37531cabab9340a7e95577cbde4b947ddcde648aa66a4957bbe8945ef3d7d",
         },
     },
 }

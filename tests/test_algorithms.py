@@ -1,17 +1,19 @@
 import cProfile
 import pstats
 
+import golden
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decmanopt import manifolds
+from decmanopt import algorithms, harness, manifolds
 from decmanopt.algorithms import RunConfig, StepSchedule, init_system, run
 from decmanopt.errors import InvalidInputError, TubeViolationError
 from decmanopt.manifolds import FEAS_TOL
-from decmanopt.metrics import TRACE_COLUMNS, induced_mean, write_trace
+from decmanopt.metrics import TRACE_COLUMNS, induced_mean, subspace_distance, write_trace
 from decmanopt.network import MixingMatrix, build_graph, metropolis_weights, mix
+from decmanopt.numerics import sym
 from decmanopt.problems import (
     GevpProblem,
     PcaProblem,
@@ -305,13 +307,13 @@ def test_run_tube_violation_mid_run_carries_context():
 
 
 def test_run_b_stiefel_tube_violation_names_agent():
-    # Agent 2 averages two antipodal B-feasible neighbors, so its B-polar
-    # target is zero after the first mix.
+    # Agent 2 averages two antipodal neighbors, so its projection target is
+    # zero after the first mix.  Points are whitened, z = Cx with C = diag(1, 2).
     spec = manifolds.generalized_stiefel(2, 1, np.diag([1.0, 4.0]))
     problem = GevpProblem([np.eye(2)] * 3, spec)
     w = np.array([[0.75, 0.25, 0.0], [0.25, 0.25, 0.5], [0.0, 0.5, 0.5]])
     m = MixingMatrix(w)
-    points = np.array([[[0.0], [0.5]], [[1.0], [0.0]], [[-1.0], [0.0]]])
+    points = np.array([[[0.0], [1.0]], [[1.0], [0.0]], [[-1.0], [0.0]]])
     with pytest.raises(TubeViolationError) as info:
         run(RunConfig(algorithm="consensus", max_iters=5), problem, m, points)
     assert info.value.iteration == 1
@@ -393,9 +395,9 @@ def test_run_writes_none_of_its_inputs(kind, algorithm):
     spec = problem.spec
     stacks = [st for _, a, mask in getattr(problem, "_groups", ()) for st in (a, mask)]
     if kind != "lrmc":
-        stacks += [problem._grams, problem._total_gram]
-    if spec.b is not None:
-        stacks += [spec.b, spec.b_inv, spec.chol]
+        stacks += [problem.grams, problem._total_gram]
+    if spec.chol is not None:
+        stacks.append(spec.chol)
     for a in [points, m.w, *stacks]:
         a.flags.writeable = False
     trace = run(cfg, problem, m, points, truth)
@@ -466,3 +468,107 @@ def test_dprgt_iteration_dispatch_budget(gen, beta, budget):
     m = metropolis_weights(build_graph("er", 8, seed=3, p=0.6))
     points = init_system(problem, "identical", seed=11)
     assert calls_per_dprgt_iteration(problem, m, points, beta) <= budget
+
+
+# -- whitened GEVP against the B-metric maps ----------------------------------
+
+
+class BMetricMaps:
+    """Generalized Stiefel in ambient coordinates x with the B-metric
+    <u, v>_B = tr(u'Bv): the maps a GEVP run took before it was whitened,
+    kept as the oracle of the whitened one."""
+
+    def __init__(self, b):
+        self.b, self.b_inv = b, np.linalg.inv(b)
+
+    def norm(self, u):
+        return np.sqrt(np.sum(u * (self.b @ u), axis=(-2, -1)))
+
+    def project(self, y):
+        """The B-polar factor y (y'By)^(-1/2)."""
+        w, v = np.linalg.eigh(y.mT @ self.b @ y)
+        return y @ (v / np.sqrt(w)[..., None, :]) @ v.mT
+
+    def tangent_project(self, x, u):
+        return u - x @ sym(x.mT @ self.b @ u)
+
+    def riemannian_gradient(self, x, egrad):
+        return self.b_inv @ egrad - x @ sym(x.mT @ egrad)
+
+
+def b_metric_init(maps, cfg, n, d, r):
+    """init_system's draws, in ambient coordinates with the B-metric maps."""
+    rng = np.random.default_rng(cfg.run_seed)
+    x0 = maps.project(rng.standard_normal((d, r)))
+    if cfg.init_mode == "identical" or cfg.delta == 0.0:
+        return np.broadcast_to(x0, (n, d, r)).copy()
+    dirs = np.stack([maps.tangent_project(x0, rng.standard_normal((d, r))) for _ in range(n)])
+    dirs /= maps.norm(dirs)[:, None, None]
+    delta = cfg.delta
+    while True:
+        points = maps.project(x0 + delta * dirs)
+        x_bar = maps.project(np.mean(points, axis=0))
+        if np.max(maps.norm(points - x_bar)) <= 0.25:
+            return points
+        delta *= 0.5
+
+
+def b_metric_run(maps, grams, cfg, mixing, xs, x_star):
+    """[(k, x_k, record values)] at the record points of ``algorithms.run``,
+    iterating with the B-metric maps and the unwhitened grams."""
+    n, records = len(grams), []
+    algorithm = cfg.algorithm
+    for k in range(cfg.max_iters + 1):
+        alpha = 0.0 if algorithm == "consensus" else cfg.schedule.alpha(max(k - 1, 0))
+        if k == 0 and algorithm == "dprgt":
+            tracker = grads = maps.riemannian_gradient(xs, grams @ xs)
+        if k:
+            direction = 0.0
+            if algorithm == "dprgd":
+                direction = maps.riemannian_gradient(xs, grams @ xs)
+            elif algorithm == "dprgt":
+                direction = maps.tangent_project(xs, tracker)
+            xs = maps.project(mix(mixing, xs, cfg.t) - alpha * direction)
+            if algorithm == "dprgt":
+                new_grads = maps.riemannian_gradient(xs, grams @ xs)
+                tracker = mix(mixing, tracker, cfg.t) + new_grads - grads
+                grads = new_grads
+        if k % cfg.trace_every == 0 or k == cfg.max_iters:
+            x_bar = maps.project(np.mean(xs, axis=0))
+            egrad = grams.sum(axis=0) @ x_bar / n
+            values = {"objective_at_mean": 0.5 * np.sum(x_bar * egrad),
+                      "grad_norm_sq": maps.norm(maps.riemannian_gradient(x_bar, egrad)) ** 2,
+                      "dist_to_truth": subspace_distance(x_bar, x_star),
+                      "consensus_error": np.mean(maps.norm(xs - x_bar) ** 2)}
+            records.append((k, xs, values))
+    return records
+
+
+@pytest.mark.parametrize("name", ["gevp_er", "gevp_consensus"])
+def test_whitened_gevp_run_follows_the_b_metric_maps(name, monkeypatch):
+    # The golden DPRGT run (identical init) and consensus run (perturbed
+    # init), whitened and with the B-metric maps from the same draws:
+    # C^-1 z_k is x_k to rounding at every record, and the records agree
+    # within the golden value tolerances (VALUE_RTOL relative, and in the
+    # consensus error CONSENSUS_ATOL absolute besides).
+    cfg = harness.resolve_config({**golden._COMMON, **golden.RUNS[name]})
+    problem, truth, mixing, points, run_cfg = harness.build_run(cfg)
+    c = problem.spec.chol
+    maps = BMetricMaps(c.T @ c)
+    grams = np.stack([a.T @ a for a in problem.agents])
+    n, d, r = points.shape
+    expected = b_metric_run(maps, grams, run_cfg, mixing, b_metric_init(maps, cfg, n, d, r),
+                            truth.x_star)
+    seen = []
+    record = algorithms.trace_record
+    monkeypatch.setattr(algorithms, "trace_record",
+                        lambda problem, zs, *args: seen.append(zs) or record(problem, zs, *args))
+    trace = run(run_cfg, problem, mixing, points, truth)
+    assert [rec.iter for rec in trace.records] == [k for k, _, _ in expected]
+    for rec, zs, (_, xs, values) in zip(trace.records, seen, expected):
+        assert np.linalg.norm(np.linalg.solve(c, zs) - xs) <= 1e-12 * np.linalg.norm(xs)
+        for field, value in values.items():
+            tol = golden.VALUE_RTOL * abs(value)
+            if field == "consensus_error":  # the floor for an exact-consensus run
+                tol += golden.CONSENSUS_ATOL
+            assert abs(getattr(rec, field) - value) <= tol, (rec.iter, field)

@@ -479,6 +479,24 @@ def test_rate_study_requires_consensus(tmp_path):
         harness.rate_study(small_cfg(tmp_path))
 
 
+def test_gevp_distances_are_taken_in_ambient_coordinates(tmp_path):
+    # A GEVP run's points are whitened, z = Cx, and x* is ambient: the
+    # manifest's agent mean and the trace's d_s map back by C^-1 first.
+    cfg = small_cfg(tmp_path, **{"problem.kind": "gevp", "run.K": 20})
+    harness.run_experiment(cfg)
+    summary = dict(line.split("=", 1) for line in
+                   (tmp_path / "out" / "manifest.txt").read_text().splitlines())
+    problem, truth, mixing, points, run_cfg = harness.build_run(cfg)
+    trace = algorithms.run(run_cfg, problem, mixing, points, truth)
+    c = problem.spec.chol
+    dists = [metrics.subspace_distance(np.linalg.solve(c, z), truth.x_star) for z in trace.points]
+    assert float(summary["final.agent_dist_mean"]) == pytest.approx(np.mean(dists), rel=1e-12)
+    _, z_bar = metrics.induced_mean(problem.spec, trace.points)
+    expected = metrics.subspace_distance(np.linalg.solve(c, z_bar), truth.x_star)
+    assert trace.records[-1].dist_to_truth == pytest.approx(expected, rel=1e-12)
+    assert float(summary["final.dist_to_truth"]) == trace.records[-1].dist_to_truth
+
+
 def test_agent_dist_flag_reports_per_agent_mean(tmp_path, monkeypatch):
     # Every finished run reports the agents' mean distance to x*; an
     # aborted one has no final states to report.

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decmanopt.errors import InvalidInputError, SingularityError
+from decmanopt.errors import InvalidInputError, NonFiniteError, SingularityError
 from decmanopt.manifolds import check_projection_lipschitz, generalized_stiefel, stiefel
 from decmanopt.numerics import NEAR_IDENTITY, sym
 from decmanopt.problems import GevpProblem, PcaProblem, gevp_constraint
@@ -170,8 +170,8 @@ def test_riemannian_gradient_directional_derivative():
 
 
 def test_b_stiefel_riemannian_gradient_directional_derivative():
-    # <grad f(x), xi>_B is the derivative of f along the B-polar curve
-    # P(x + h xi) for tangent xi.
+    # In whitened coordinates, <grad f(z), xi> is the derivative of f along
+    # the polar curve P(z + h xi) for tangent xi.
     rng = np.random.default_rng(19)
     spec = generalized_stiefel(8, 3, random_spd(8, rng))
     problem = GevpProblem([rng.standard_normal((30, 8)) for _ in range(3)], spec)
@@ -193,10 +193,10 @@ def test_b_stiefel_riemannian_gradient_vanishes_at_generalized_eigenvectors():
     problem = GevpProblem([rng.standard_normal((30, 8)) for _ in range(3)], spec)
     s = sum(a.T @ a for a in problem.agents)
     _, v = scipy.linalg.eigh(s, b)
-    x_star = v[:, :3]
-    egrad = problem.mean_value_and_gradient(x_star)[1]
-    assert spec.feasibility_residual(x_star) <= 1e-10
-    assert spec.norm(spec.riemannian_gradient(x_star, egrad)) <= 1e-10 * np.linalg.norm(egrad)
+    z_star = spec.chol @ v[:, :3]  # the generalized eigenvectors, whitened
+    egrad = problem.mean_value_and_gradient(z_star)[1]
+    assert spec.feasibility_residual(z_star) <= 1e-10
+    assert spec.norm(spec.riemannian_gradient(z_star, egrad)) <= 1e-10 * np.linalg.norm(egrad)
 
 
 def test_normal_vector_inequality_stiefel():
@@ -328,14 +328,15 @@ def test_random_point_feasible_and_seeded():
 @given(st.integers(1, 60).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))),
        st.floats(0.0, 10.0), st.integers(0, 2**32 - 1))
 def test_b_stiefel_gram_asymmetry_within_rounding_bound(shape, log_kappa, seed):
-    # ||G - G'||_F <= 2 gamma_d sqrt(r) ||G||_F, with B up to kappa = 1e10:
-    # the bound a gram summed in different orders for G_ij and G_ji would
-    # meet.  numpy's grams are exactly symmetric (the next test).
+    # ||G - G'||_F <= 2 gamma_d sqrt(r) ||G||_F for the grams of whitened
+    # draws Cy, with B up to kappa = 1e10: the bound a gram summed in
+    # different orders for G_ij and G_ji would meet.  numpy's grams are
+    # exactly symmetric (the next test).
     d, r = shape
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     spec = generalized_stiefel(d, r, (q * np.logspace(0.0, log_kappa, d)) @ q.T)
-    ys = rng.standard_normal((4, d, r)) * rng.uniform(0.1, 10.0, (4, 1, 1))
+    ys = spec.chol @ rng.standard_normal((4, d, r)) * rng.uniform(0.1, 10.0, (4, 1, 1))
     g = spec.gram(ys)
     u = np.finfo(float).eps / 2
     gamma_d = d * u / (1 - d * u)
@@ -346,9 +347,9 @@ def test_b_stiefel_gram_asymmetry_within_rounding_bound(shape, log_kappa, seed):
 @pytest.mark.parametrize("b", [None, "spd"])
 @pytest.mark.parametrize("blocks", [None, 1, 3, 8])
 def test_gram_is_exactly_symmetric(b, blocks):
-    # project hands the gram to inverse_sqrt without sym: numpy forms
-    # (Cy)'(Cy) as a symmetric rank-k update and mirrors its triangle, so
-    # sym would return it bit for bit.
+    # project hands the gram to inverse_sqrt without sym: numpy forms y'y
+    # as a symmetric rank-k update and mirrors its triangle, so sym would
+    # return it bit for bit.
     rng = np.random.default_rng(22)
     spec = stiefel(10, 5) if b is None else generalized_stiefel(10, 5, random_spd(10, rng))
     ys = rng.standard_normal((10, 5) if blocks is None else (blocks, 10, 5))
@@ -379,3 +380,33 @@ def test_specs_compare_and_hash_by_identity():
     specs = [generalized_stiefel(5, 2, b), generalized_stiefel(5, 2, b.copy()), stiefel(5, 2)]
     assert [s == t for s in specs for t in specs] == [s is t for s in specs for t in specs]
     assert len({*specs, *specs}) == 3
+
+
+@pytest.mark.parametrize("b, error, message", [
+    (np.array([[1.0, 2.0], [0.0, 1.0]]), InvalidInputError, "not symmetric within tolerance"),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), NonFiniteError, "matrix contains NaN or Inf"),
+    (np.diag([1.0, -1.0]), InvalidInputError, "b must be symmetric positive definite"),
+    (np.diag([1.0, 1e-13]), InvalidInputError, "b must be symmetric positive definite"),
+    (np.eye(3), InvalidInputError, r"b must be 2x2, got \(3, 3\)"),
+], ids=["asymmetric", "nan", "indefinite", "near-singular", "shape"])
+def test_generalized_stiefel_rejects_a_bad_b(b, error, message):
+    with pytest.raises(error, match=message):
+        generalized_stiefel(2, 1, b)
+
+
+def test_generalized_stiefel_draws_are_ambient_draws_mapped_by_c():
+    # z = Cx: a random point is C times the B-polar factor of the same
+    # Gaussian draw, and a random tangent is C times the B-orthogonal
+    # tangent projection of the next draw, scaled to unit B-norm.
+    b = random_spd(7, np.random.default_rng(23), spread=3.0)
+    spec = generalized_stiefel(7, 3, b)
+    z = spec.random_point(np.random.default_rng(24))
+    t = spec.random_tangent(z, np.random.default_rng(25), 1.0)
+    g = np.random.default_rng(24).standard_normal((7, 3))
+    w, v = np.linalg.eigh(g.T @ b @ g)
+    x = g @ (v / np.sqrt(w)) @ v.T
+    u = np.random.default_rng(25).standard_normal((7, 3))
+    tx = u - x @ sym(x.T @ b @ u)
+    tx /= np.sqrt(np.sum(tx * (b @ tx)))
+    assert np.linalg.norm(z - spec.chol @ x) <= 1e-13
+    assert np.linalg.norm(t - spec.chol @ tx) <= 1e-13

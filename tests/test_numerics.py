@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from decmanopt.errors import InvalidInputError, NonFiniteError, SingularityError
-from decmanopt.numerics import NEAR_IDENTITY, inverse_sqrt, sym, sym_eig, thin_svd
+from decmanopt.numerics import NEAR_IDENTITY, inverse_sqrt, sym, thin_svd
 
 
 def spd_inverse_sqrt(m):
@@ -50,33 +50,6 @@ def test_thin_svd_rejects_bad_input():
         thin_svd(np.array([[np.nan, 0.0], [0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InvalidInputError):
         thin_svd(np.zeros((2, 3)))
-
-
-def test_sym_eig_identity():
-    w, _ = sym_eig(np.eye(2))
-    assert np.allclose(w, [1.0, 1.0])
-
-
-def test_sym_eig_swap_matrix():
-    w, _ = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(w, [-1.0, 1.0])
-
-
-def test_sym_eig_residual_oracle():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((5, 5))
-    m = a + a.T
-    w, v = sym_eig(m)
-    scale = np.linalg.norm(m)
-    for j in range(5):
-        assert np.linalg.norm(m @ v[:, j] - w[j] * v[:, j]) <= 1e-9 * scale
-    assert np.linalg.norm(v.T @ v - np.eye(5)) <= 1e-10
-    assert np.all(np.diff(w) >= 0)
-
-
-def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(InvalidInputError):
-        sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_spd_inverse_sqrt_identity():
@@ -169,11 +142,8 @@ def test_stacked_kernels_equal_per_matrix_calls_bitwise():
         assert u[i].tobytes() == u1.tobytes() and sv[i].tobytes() == s1.tobytes()
         assert vv[i].tobytes() == v1.tobytes()
     for ms in (far, near, mixed):
-        w, v = sym_eig(ms)
         rs = spd_inverse_sqrt(ms)
         for i in range(len(ms)):
-            w1, v1 = sym_eig(ms[i])
-            assert w[i].tobytes() == w1.tobytes() and v[i].tobytes() == v1.tobytes()
             assert rs[i].tobytes() == spd_inverse_sqrt(ms[i]).tobytes()
             assert rs[i].tobytes() == spd_inverse_sqrt(ms[i:i + 1])[0].tobytes()
 
@@ -192,15 +162,6 @@ def test_core_names_far_blocks_by_their_index_in_a_near_stack():
     assert info.value.block == 4
 
 
-@pytest.mark.parametrize("kernel", [sym_eig])
-def test_stack_rejects_an_asymmetric_block_naming_it(kernel):
-    ms = random_spd_stack(np.random.default_rng(12))
-    ms[3, 0, 1] += 1.0
-    with pytest.raises(InvalidInputError, match="block 3") as info:
-        kernel(ms)
-    assert info.value.block == 3
-
-
 @pytest.mark.parametrize("kernel", [spd_inverse_sqrt])
 def test_stack_rejects_an_indefinite_block_naming_it(kernel):
     ms = random_spd_stack(np.random.default_rng(13))
@@ -210,7 +171,7 @@ def test_stack_rejects_an_indefinite_block_naming_it(kernel):
     assert info.value.block == 4
 
 
-@pytest.mark.parametrize("kernel", [sym_eig, spd_inverse_sqrt, thin_svd])
+@pytest.mark.parametrize("kernel", [spd_inverse_sqrt, thin_svd])
 def test_stack_rejects_a_non_finite_block_naming_it(kernel):
     ms = random_spd_stack(np.random.default_rng(14))
     ms[1, 2, 2] = np.nan

@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spans  # noqa: E402
 
 RETIRED = {"lyapunov_solve", "consensus_step", "dprgd_step", "dprgt_step", "init_tracker",
-           "spd_inverse_sqrt"}
+           "spd_inverse_sqrt", "sym_eig"}
 
 
 def test_every_traced_layer_names_a_library_attribute():

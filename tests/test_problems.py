@@ -163,12 +163,16 @@ def test_gevp_constraint_rejects_nonpositive_size(d):
 
 def test_gen_gevp_matches_dense_generalized_eig_oracle():
     problem, truth = gen_gevp_data(8, 1000, 10, 5, 0.8, seed=7)
+    c = problem.spec.chol
     s = sum(a.T @ a for a in problem.agents)
-    w, v = scipy.linalg.eigh(s, problem.spec.b)
+    w, v = scipy.linalg.eigh(s, c.T @ c)
     oracle = v[:, :5]
     assert subspace_distance(oracle, truth.x_star) < 1e-8
     assert abs(truth.f_star - 0.5 / 8 * np.sum(w[:5])) < 1e-12
-    assert problem.spec.feasibility_residual(truth.x_star) <= 1e-8
+    # x* is ambient; the problem's points are whitened, z = Cx.
+    assert problem.spec.feasibility_residual(c @ truth.x_star) <= 1e-8
+    assert problem.mean_value_and_gradient(c @ truth.x_star)[0] == pytest.approx(truth.f_star,
+                                                                                  rel=1e-12)
 
 
 # -- spectral data ------------------------------------------------------------
@@ -235,8 +239,10 @@ def test_lipschitz_is_the_exact_quadratic_bound_constant(gen):
     spec = problem.spec
     lip = problem.lipschitz()
     # Oracle: eigenpairs of G_i (PCA) or of the pencil (G_i, B) (GEVP),
-    # ascending, the latter B-orthonormal.
-    eigs = [scipy.linalg.eigh(a.T @ a, spec.b) for a in problem.agents]
+    # ascending, the latter B-orthonormal and whitened to z = Cx.
+    c = np.eye(spec.d) if spec.chol is None else spec.chol
+    eigs = [scipy.linalg.eigh(a.T @ a, c.T @ c) for a in problem.agents]
+    eigs = [(w, c @ v) for w, v in eigs]
     assert lip.shape == (8,)
     assert np.allclose(lip, [w[-1] for w, _ in eigs], rtol=1e-12, atol=0)
 
