@@ -29,10 +29,15 @@ only.  The ``gevp_er`` and ``gevp_consensus`` sets come from the child of
 36dde69 that runs GEVP in whitened coordinates z = Cx; against the finals
 of 36dde69 that moved them by at most 5.4e-15 relative in grad^2, 4.8e-15
 in d_s, 1.9e-16 in the objective and 1.6e-21 absolute in the consensus
-error over both kernels.  Against ``VALUES``, the GEVP finals now lie
-within 5.4e-14 relative (grad^2 of gevp_er under Haswell) and 4.6e-21
-absolute in the consensus error.  ``VALUES`` is the SkylakeX final values
-of a2cd076.
+error over both kernels.  Their ``trace.csv`` digests come from the child
+of 46185ad that takes the GEVP ground truth from the problem's whitened
+total gram and its spec's C instead of a second Cholesky reduction: x*
+moved by rounding, so only the ``dist_to_truth`` column moved, by at most
+3.7e-15 relative (gevp_er under Haswell; 6.9e-16 under SkylakeX), and the
+points, ``tracking_gap`` and ``s_hat_norm_sq`` digests held.  Against
+``VALUES``, the GEVP finals now lie within 5.4e-14 relative (grad^2 of
+gevp_er under Haswell) and 4.6e-21 absolute in the consensus error.
+``VALUES`` is the SkylakeX final values of a2cd076.
 """
 
 import ctypes
@@ -79,7 +84,7 @@ RUNS = {
 DIGESTS = {
     "SkylakeX": {
         "gevp_er": {
-            "trace.csv": "a88a971ec0e47ea133a18ce9a4264a52e2fdddf9fe6b3085b5081f6571012ed4",
+            "trace.csv": "7cb7e60b3d26be95b07c824845542d2030f2ba17a021a99b92f629a0d75520ec",
             "points": "5fbf5c483332863cf612f2ef56063bd37156febc99bb2c3574471c57847231b0",
             "tracking_gap": "c361d1d58ba7f56537876176d4f4d85d3e7486a4d06200bfcc305f8516c9e39b",
             "s_hat_norm_sq": "5798b10a230b42d9479860d68b7a76d4bc6bf54eb96418d6a9f42e36bb4e1f21",
@@ -101,13 +106,13 @@ DIGESTS = {
             "points": "35bd58e4c27b72d3836bed3e47d1370103923c9fd11a2ac02b4a3f56c874504a",
         },
         "gevp_consensus": {
-            "trace.csv": "088dc8ff37fceadf6ff081f182f2c09fea2ab2c4147112191c8bc4e041548903",
+            "trace.csv": "465b77465e224b086ec261cc308c1d30147b6a3373d2a3b9d8276eb7d21f27b2",
             "points": "71c0d8444f1ec72380c3c69716b5ded198829123f8d96cd0328700a475483478",
         },
     },
     "Haswell": {
         "gevp_er": {
-            "trace.csv": "a3078d8401e68a1fa437508c076bc955ee4b5ba691417c32f45ded7b4951b796",
+            "trace.csv": "28487628f9e2ef16f91971e0a2555f590c01a2ec08cdc95645a97e1006164d91",
             "points": "bc5b4f3eaab48e85eb974759d57573661805536514c90bad6792ff0f765270b1",
             "tracking_gap": "117d49c2771b8d3b63673b54c9e2a4a933e7c6a4de8fe95b5f5503e866814e86",
             "s_hat_norm_sq": "54a28dad2a80cd1dd1dcecf294fbcb2f1f4d0715a0cd86435bd91e6291a2c1f0",
@@ -129,7 +134,7 @@ DIGESTS = {
             "points": "5aa1b4707ec667ff098d7e96916689c24d8a77667134fe916a008b5d553d9427",
         },
         "gevp_consensus": {
-            "trace.csv": "64344d614058e97a2e049209c03bd05e74e360ea46ac1d089c0ac2aba78e447a",
+            "trace.csv": "01df66500afadcd717c2f8f038adafe2831ec4e0ac01a290ddec1202834acb35",
             "points": "93a37531cabab9340a7e95577cbde4b947ddcde648aa66a4957bbe8945ef3d7d",
         },
     },

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from decmanopt import manifolds, problems
 from decmanopt.errors import InvalidInputError
 from decmanopt.metrics import subspace_distance
+from decmanopt.numerics import inverse_sqrt, sym
 from decmanopt.problems import (
     GevpProblem,
     LrmcProblem,
@@ -219,6 +222,83 @@ def test_spectral_data_makes_no_tall_factorization(monkeypatch):
     gen_gevp_data(8, 1000, 10, 5, 0.8, seed=7)
     assert (10, 10) in shapes  # the GEVP constraint's QR is seen
     assert [shape for shape in shapes if shape[-2] == 8000] == []
+
+
+# -- agent stacks --------------------------------------------------------------
+
+
+def per_agent_reference(gen, n, m_i, d, xi, seed):
+    """The agent rows and signed grams of ``gen`` built one agent at a time:
+    A in a fresh array, n slices of its permuted rows, one gram per slice,
+    whitened by C for GEVP."""
+    rng = np.random.default_rng(seed)
+    b0 = rng.standard_normal((n * m_i, d))
+    w, v = np.linalg.eigh(b0.T @ b0)
+    u1 = b0 @ (v / np.sqrt(w))
+    a = u1 @ ((inverse_sqrt(u1.T @ u1) * xi ** np.arange(d, 0, -1)) @ v.T)
+    perm = rng.permutation(n * m_i)
+    blocks = [a[perm[i * m_i:(i + 1) * m_i]] for i in range(n)]
+    grams = [blk.T @ blk for blk in blocks]
+    if gen is gen_pca_data:
+        return blocks, [-g for g in grams]
+    ct = manifolds.generalized_stiefel(d, 1, gevp_constraint(d, rng)).chol.T
+    return blocks, [sym(np.linalg.solve(ct, np.linalg.solve(ct, g).T)) for g in grams]
+
+
+@pytest.mark.parametrize("gen", [gen_pca_data, gen_gevp_data], ids=["pca", "gevp"])
+@pytest.mark.parametrize("n, m_i, d", [(2, 5, 10), (11, 1, 10), (4, 10, 6), (6, 60, 8),
+                                       (8, 1000, 10)])
+def test_agent_stack_equals_per_agent_blocks_bitwise(gen, n, m_i, d):
+    # The row counts n m_i and widths d of test_spectral_data_matches_svd_construction.
+    for seed in range(5):
+        problem, _ = gen(n, m_i, d, 1, 0.8, seed)
+        blocks, grams = per_agent_reference(gen, n, m_i, d, 0.8, seed)
+        assert problem.agents.shape == (n, m_i, d)
+        assert problem.agents.tobytes() == np.stack(blocks).tobytes()
+        assert problem.grams.tobytes() == np.stack(grams).tobytes()
+
+
+@pytest.mark.parametrize("cls, spec", [
+    (PcaProblem, manifolds.stiefel(6, 2)),
+    (GevpProblem, manifolds.generalized_stiefel(6, 2, np.eye(6))),
+], ids=["pca", "gevp"])
+@pytest.mark.parametrize("agents, message", [
+    ([np.ones((10, 6)), np.ones((12, 6))], "same number of rows"),
+    ([[[1.0] * 6] * 2, [[1.0] * 6] * 3], "same number of rows"),
+    ([np.ones((10, 6)), np.ones((10, 5))], "6 columns"),
+], ids=["unequal-rows", "ragged-list", "unequal-columns"])
+def test_quadratic_problems_reject_unequal_blocks(cls, spec, agents, message):
+    with pytest.raises(InvalidInputError, match=message):
+        cls(agents, spec)
+
+
+@pytest.mark.parametrize("gen", [gen_pca_data, gen_gevp_data], ids=["pca", "gevp"])
+def test_generator_peak_is_two_row_matrices(gen):
+    # The data matrix A reuses the Gaussian draw's buffer, and the agent
+    # stack is the only other (n m_i, d) array alive at once.
+    rows_bytes = 8000 * 10 * 8
+    gen(8, 1000, 10, 5, 0.8, seed=7)
+    tracemalloc.start()
+    try:
+        gen(8, 1000, 10, 5, 0.8, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * rows_bytes + 100_000
+
+
+def test_gen_gevp_factors_b_once(monkeypatch):
+    # C has one home, the spec; the ground truth reuses it.
+    shapes = []
+    cholesky = np.linalg.cholesky
+
+    def counting(b, *args, **kwargs):
+        shapes.append(np.shape(b))
+        return cholesky(b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    gen_gevp_data(8, 1000, 10, 5, 0.8, seed=7)
+    assert shapes == [(10, 10)]
 
 
 # -- quadratic upper bound ----------------------------------------------------
