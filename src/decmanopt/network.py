@@ -130,6 +130,8 @@ def mix(m, xs, steps):
     xs = np.asarray(xs, dtype=float)
     if xs.shape[0] != m.n:
         raise InvalidInputError(f"expected {m.n} blocks, got {xs.shape[0]}")
+    if steps < 0:
+        raise InvalidInputError(f"steps must be >= 0, got steps={steps}")
     for _ in range(steps):
         xs = (m.w @ xs.reshape(m.n, -1)).reshape(xs.shape)
     return xs

@@ -52,6 +52,8 @@ class _QuadraticTraceProblem:
     _sign = 1.0
 
     def __init__(self, agents, spec):
+        if len(agents) == 0:
+            raise InvalidInputError("need at least one agent")
         shapes = {np.shape(a) for a in agents}
         if {s[1:] for s in shapes} != {(spec.d,)}:
             raise InvalidInputError(f"all agent matrices must have {spec.d} columns")
@@ -120,12 +122,17 @@ class GevpProblem(_QuadraticTraceProblem):
 
 
 def _inner_fit(a, mask, xs):
-    """V of :meth:`LrmcProblem.inner_solve` for a (k, m, T_i) stack of blocks.
+    """The inner fit V_i(X) of the LRMC objective for a (k, m, T_i) stack
+    of blocks ``a``, zero where unobserved: per column the minimum-norm
+    least squares V[:, c] with x[obs] V[:, c] ~ a[obs, c].
 
-    A function of its own so that the float mask, the grams and the
-    eigendecomposition are freed before the caller allocates the residual.
-    The float mask is formed per call rather than stored, which keeps the
-    problem's resident data to one float stack per width.
+    It solves the normal equations V_c = (x' D_c x)^+ x' D_c a_c, D_c the
+    column mask, whose pseudo-inverse solution is the minimum-norm one,
+    through one batched eigendecomposition.  Eigenvalues below 1e-13 of the
+    column maximum count as zero, and a column with no observations gets
+    V_c = 0.  A function of its own so that the float mask (formed per
+    call, so that one float stack per width stays resident), the grams and
+    the eigendecomposition are freed before the caller allocates the residual.
     """
     m, r = xs.shape[-2:]
     outer = (xs[..., :, None] * xs[..., None, :]).reshape(*xs.shape[:-2], m, r * r)
@@ -170,6 +177,8 @@ class LrmcProblem:
     def __init__(self, agents, spec):
         agents = [(np.asarray(a, dtype=float), np.asarray(mask, dtype=bool))
                   for a, mask in agents]
+        if not agents:
+            raise InvalidInputError("need at least one agent")
         if any(a.shape != mask.shape for a, mask in agents):
             raise InvalidInputError("observed block and mask shapes differ")
         if {a.shape[0] for a, _ in agents} != {spec.d}:
@@ -207,18 +216,6 @@ class LrmcProblem:
         a, mask = self.data[i]
         res, v = _solve(a[None], mask[None], x[None])
         return res[0], v[0]
-
-    def inner_solve(self, i, x):
-        """Per-column minimum-norm least squares V with x[obs] V[:, c] ~ a[obs, c].
-
-        Solved through batched normal equations, V_c = (x' D_c x)^+ x' D_c a_c
-        with D_c the diagonal column mask, which equals the minimum-norm
-        solution of the masked system.  The pseudo-inverses come from one
-        batched eigendecomposition, with eigenvalues below 1e-13 of the
-        per-column maximum treated as zero; columns with no observations
-        get an all-zero column of V.
-        """
-        return self._solve_one(i, x)[1]
 
     def local_value(self, i, x):
         res, _ = self._solve_one(i, x)

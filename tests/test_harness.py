@@ -154,6 +154,47 @@ def test_every_export_has_a_caller_outside_tests():
     assert sorted(exported - used) == []
 
 
+# Public library names whose only callers are tests, each with the ROADMAP
+# item that wires it into a real path.  An entry leaves when its item lands.
+TEST_ONLY_UNTIL = {"ManifoldSpec.feasibility_residual": "item 1"}
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # A public function, class or method of the library earns its place by a
+    # use outside the tests: a name, an attribute, or an exact string (perfbench
+    # wraps layers by name).  Imports and the package's re-exports do not count.
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "decmanopt"
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    public = {}
+    for path in package.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, defs) and not node.name.startswith("_"):
+                public[node.name] = node.name
+                if isinstance(node, ast.ClassDef):
+                    public.update((f"{node.name}.{item.name}", item.name) for item in node.body
+                                  if isinstance(item, defs) and not item.name.startswith("_"))
+    sources = [path for pattern in ("src/**/*.py", "demos/**/*.py", "tools/**/*.py",
+                                    "perfbench/**/*.py")
+               for path in root.glob(pattern)
+               if path != package / "__init__.py" and not path.name.startswith("test_")]
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    test_only = {qualified for qualified, name in public.items() if name not in used}
+    roadmap = (root / "ROADMAP.md").read_text()
+    for qualified, item in TEST_ONLY_UNTIL.items():
+        assert qualified in test_only, f"{qualified} has a caller now; drop its entry"
+        assert item.startswith("item ") and f"\n{item[5:]}. **" in roadmap, (qualified, item)
+    assert sorted(test_only - TEST_ONLY_UNTIL.keys()) == []
+
+
 def test_parse_config_text():
     raw = harness.parse_config_text("a.b = 1  # comment\n\n# full comment\nc.d=x=y\n")
     assert raw == {"a.b": "1", "c.d": "x=y"}

@@ -283,6 +283,15 @@ def test_mix_block_count_mismatch():
         mix(m, np.zeros((5, 2, 2)), 1)
 
 
+def test_mix_rejects_negative_steps():
+    # Zero rounds is the identity; a negative count is an error, not zero rounds.
+    m = metropolis_weights(build_graph("ring", 4))
+    x = np.arange(16.0).reshape(4, 2, 2)
+    assert np.array_equal(mix(m, x, 0), x)
+    with pytest.raises(InvalidInputError, match="steps"):
+        mix(m, x, -1)
+
+
 def test_consensus_radius_strict_inequality():
     # Eigenvalues 1 and 1/2 (three times); its SVD gives sigma2 = 1/2 exactly,
     # so sigma2^1 sits on the bound 1/2 and must not be accepted.

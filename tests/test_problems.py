@@ -359,17 +359,24 @@ def _small_lrmc(rng, m=12, t=9, r=3, density=1.0):
     return LrmcProblem([(a, mask)], spec), x0, v0
 
 
+def _inner_fit(p, x):
+    """The inner fit V of agent 0 of ``p`` at x, from the function the
+    objective and gradient take it from."""
+    a, mask = p.data[0]
+    return problems._inner_fit(a[None], mask[None], x[None])[0]
+
+
 def test_lrmc_inner_solve_consistent_full_mask():
     rng = np.random.default_rng(13)
     p, x0, v0 = _small_lrmc(rng, density=1.0)
-    v = p.inner_solve(0, x0)
+    v = _inner_fit(p, x0)
     assert np.linalg.norm(v - v0) <= 1e-9
 
 
 def test_lrmc_inner_solve_empty_mask():
     rng = np.random.default_rng(14)
     p, x0, _ = _small_lrmc(rng, density=0.0)
-    assert np.linalg.norm(p.inner_solve(0, x0)) == 0.0
+    assert np.linalg.norm(_inner_fit(p, x0)) == 0.0
     assert np.linalg.norm(p.local_grad(0, x0)) == 0.0
     assert p.local_value(0, x0) == 0.0
 
@@ -383,7 +390,7 @@ def test_lrmc_inner_solve_normal_equation_oracle():
     spec = manifolds.stiefel(m, r)
     p = LrmcProblem([(a, mask)], spec)
     x = spec.random_point(rng)
-    v = p.inner_solve(0, x)
+    v = _inner_fit(p, x)
     for c in range(t):
         rows = mask[:, c]
         xo = x[rows]
@@ -400,10 +407,26 @@ def test_lrmc_inner_solve_min_norm_under_few_observations():
     mask = np.zeros((m, 1), dtype=bool)
     mask[:2, 0] = True  # two observations, rank < r
     p = LrmcProblem([(a, mask)], spec)
-    v = p.inner_solve(0, x)[:, 0]
+    v = _inner_fit(p, x)[:, 0]
     xo = x[mask[:, 0]]
     v_ref = np.linalg.lstsq(xo, a[mask[:, 0], 0], rcond=1e-10)[0]
     assert np.linalg.norm(v - v_ref) <= 1e-9
+
+
+def test_lrmc_grad_takes_the_min_norm_fit_on_rank_deficient_rows():
+    # The observed rows of x have rank 1 < r and a[obs] is not in their range.
+    # Every least-squares V leaves the same nonzero residual, but only the
+    # minimum-norm one (V[1] = 0) gives the gradient a zero second column.
+    x = np.kron(np.eye(2), np.ones((3, 1))) / np.sqrt(3.0)
+    a = np.array([[1.0], [2.0], [4.0], [0.0], [0.0], [0.0]])
+    mask = np.arange(6)[:, None] < 3
+    p = LrmcProblem([(a, mask)], manifolds.stiefel(6, 2))
+    v = np.linalg.lstsq(x[:3], a[:3], rcond=None)[0]
+    res = np.where(mask, x @ v - a, 0.0)
+    assert np.linalg.norm(res) > 1.0
+    grad = p.local_grad(0, x)
+    assert np.allclose(grad, res @ v.T, rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(grad[:, 1])) <= 1e-12 < np.max(np.abs(grad[:, 0]))
 
 
 def test_lrmc_grad_zero_on_consistent_data():
@@ -436,7 +459,7 @@ def test_lrmc_inner_solve_is_a_minimizer():
     spec = manifolds.stiefel(m, r)
     p = LrmcProblem([(a, mask)], spec)
     x = spec.random_point(rng)
-    v = p.inner_solve(0, x)
+    v = _inner_fit(p, x)
 
     def objective(vv):
         res = np.where(mask, x @ vv - a, 0.0)
@@ -521,6 +544,17 @@ def test_lrmc_stacked_solve_equals_per_agent_terms_bitwise(widths, seed):
     value, grad = p.mean_value_and_gradient(xs[0])
     assert value == total / len(widths)
     assert np.array_equal(grad, g / len(widths))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PcaProblem(np.empty((0, 5, 4)), manifolds.stiefel(4, 2)),
+    lambda: PcaProblem([], manifolds.stiefel(4, 2)),
+    lambda: GevpProblem(np.empty((0, 5, 4)), manifolds.generalized_stiefel(4, 2, np.eye(4))),
+    lambda: LrmcProblem([], manifolds.stiefel(4, 2)),
+], ids=["pca", "pca-list", "gevp", "lrmc"])
+def test_problems_reject_no_agents(make):
+    with pytest.raises(InvalidInputError, match="need at least one agent"):
+        make()
 
 
 def test_lrmc_rejects_blocks_unlike_its_row_count():

@@ -23,5 +23,6 @@ def test_ab_smoke_run_of_one_tree_against_itself(tmp_path):
                 assert times[side]["q1"] <= times[side]["median"] <= times[side]["q3"]
             assert 0 <= times["head_faster"] <= 2
         # One tree on both sides: every output byte agrees.
-        assert workload["byte_equal"] == {"records": True, "points": True, "tracking_gap": True}
+        assert workload["byte_equal"] == {"records": True, "points": True, "tracking_gap": True,
+                                          "s_hat_norm_sq": True}
         assert workload["finals_max_rel_dev"] is None

@@ -71,13 +71,13 @@ def quartiles(xs):
 
 
 def compare(a, b):
-    """Byte equality of records (without wall_ns), points and tracking gap,
-    and, when any differs, the largest relative deviation of the finals."""
+    """Byte equality of records (without wall_ns), points, tracking gap and
+    |s_hat|^2, and, when any differs, the largest relative deviation of the finals."""
     records = [repr([dataclasses.astuple(r)[:-1] for r in t.records]) for t in (a, b)]
-    gaps = [None if t.tracking_gap is None else t.tracking_gap.tobytes() for t in (a, b)]
-    equal = {"records": records[0] == records[1],
-             "points": a.points.tobytes() == b.points.tobytes(),
-             "tracking_gap": gaps[0] == gaps[1]}
+    equal = {"records": records[0] == records[1]}
+    for name in ("points", "tracking_gap", "s_hat_norm_sq"):
+        x, y = (getattr(t, name) for t in (a, b))
+        equal[name] = (x is None) == (y is None) and (x is None or x.tobytes() == y.tobytes())
     deviation = None
     if not all(equal.values()):
         finals = [dataclasses.astuple(t.records[-1])[1:-1] for t in (a, b)]
